@@ -1,78 +1,133 @@
-"""Pure-Python DPLL kernel.
+"""Pure-Python DPLL kernel with two watched literals.
 
-Deterministic: unit propagation to fixpoint, then branch on the smallest
-unassigned variable, trying true before false.  The compiled kernel in
-_dpllcore implements the same algorithm step for step, so both produce
-identical models.
+Same search as _dpllcore: propagate to fixpoint, branch on the smallest
+unassigned variable, true first, backtrack chronologically.  Propagation
+closures do not depend on visiting order, so both return the same model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
+
+
+class Dpll:
+    """Kernel state for one CNF, driven by assume(), undo() and search().
+
+    Literals index lists (negative ones wrap): val[lit] is True, False or
+    None; once lit is true, imp[lit] lists what binary clauses force and
+    watch[lit] the longer clauses, watched at positions 0 and 1, to visit.
+    """
+
+    def __init__(self, clauses: Sequence[Sequence[int]]):
+        self.ids = self.variables = ids = sorted(set(map(abs, set().union(*clauses))))
+        if ids and ids[-1] > 2 * len(ids):  # sparse ids: relabel them 1..n
+            self.variables = list(range(1, len(ids) + 1))
+            new = dict(zip(ids, self.variables))
+            clauses = [[new[l] if l > 0 else -new[-l] for l in c] for c in clauses]
+        size = 2 * (self.variables[-1] if ids else 0) + 1
+        self.val = [None] * size
+        self.imp = imp = [[] for _ in range(size)]
+        self.watch = watch = [[] for _ in range(size)]
+        self.trail, self.qhead, self.ok = [], 0, True
+        units = []
+        for c in clauses:
+            if len(c) > 2:
+                c = list(c)
+                watch[-c[0]].append(c)
+                watch[-c[1]].append(c)
+            elif len(c) == 2:
+                imp[-c[0]].append(c[1])
+                imp[-c[1]].append(c[0])
+            elif c:
+                units.append(c[0])
+            else:
+                self.ok = False
+        self.ok = self.ok and all(map(self.assume, units))
+
+    def assume(self, lit: int) -> bool:
+        """Make lit true and propagate.  False on conflict; the state is then
+        inconsistent until undo()."""
+        trail, val, imp, watch = self.trail, self.val, self.imp, self.watch
+        if val[lit] is not None:
+            return val[lit]
+        val[lit], val[-lit] = True, False
+        trail.append(lit)
+        i = self.qhead
+        while i < len(trail):
+            p = trail[i]
+            i += 1
+            for q in imp[p]:
+                if val[q] is None:
+                    val[q], val[-q] = True, False
+                    trail.append(q)
+                elif not val[q]:
+                    return False
+            if not watch[p]:
+                continue
+            false, keep, it = -p, [], iter(watch[p])
+            watch[p] = keep
+            for c in it:
+                if c[0] == false:
+                    c[0], c[1] = c[1], false
+                other = c[0]
+                if val[other]:
+                    keep.append(c)
+                    continue
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if val[lit] is not False:
+                        c[1], c[k] = lit, false
+                        watch[-lit].append(c)
+                        break
+                else:
+                    keep.append(c)
+                    if val[other] is not None:
+                        keep.extend(it)
+                        return False
+                    val[other], val[-other] = True, False
+                    trail.append(other)
+        self.qhead = i
+        return True
+
+    def undo(self, trail_len: int) -> None:
+        """Unassign every literal after the first trail_len on the trail."""
+        val = self.val
+        for lit in self.trail[trail_len:]:
+            val[lit] = val[-lit] = None
+        del self.trail[trail_len:]
+        self.qhead = trail_len
+
+    def search(self) -> bool:
+        """Decide the unassigned variables.  True leaves a model on the
+        trail; False, for no model under the current assignment, restores
+        the state search started from."""
+        if not self.ok:
+            return False
+        variables, val = self.variables, self.val
+        stack = []  # (trail length before a decision, its variable's index)
+        i = 0
+        while True:
+            while i < len(variables) and val[variables[i]] is not None:
+                i += 1
+            if i == len(variables):
+                return True
+            stack.append((len(self.trail), i))
+            if self.assume(variables[i]):
+                continue
+            while stack:  # chronological backtracking; ~i marks false tried
+                mark, i = stack.pop()
+                self.undo(mark)
+                if i >= 0:
+                    stack.append((mark, ~i))
+                    if self.assume(-variables[i]):
+                        break
+            else:
+                return False
 
 
 def solve(clauses: Sequence[Sequence[int]]) -> Optional[Dict[int, bool]]:
     """Return a total satisfying assignment over mentioned variables, or None."""
-    for c in clauses:
-        if not c:
-            return None
-    variables = sorted({abs(l) for c in clauses for l in c})
-    if not variables:
-        return {}
-    assign: Dict[int, bool] = {}
-    trail: List[int] = []  # assigned vars in order; decisions tracked separately
-    decisions: List[List[int]] = []  # [var, tried_false]
-
-    def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for clause in clauses:
-                satisfied = False
-                unit = 0
-                unassigned = 0
-                for lit in clause:
-                    val = assign.get(abs(lit))
-                    if val is None:
-                        unassigned += 1
-                        if unassigned > 1:
-                            break
-                        unit = lit
-                    elif (lit > 0) == val:
-                        satisfied = True
-                        break
-                if satisfied or unassigned > 1:
-                    continue
-                if unassigned == 0:
-                    return False
-                assign[abs(unit)] = unit > 0
-                trail.append(abs(unit))
-                changed = True
-        return True
-
-    while True:
-        if propagate():
-            var = next((v for v in variables if v not in assign), None)
-            if var is None:
-                return dict(assign)
-            assign[var] = True
-            trail.append(var)
-            decisions.append([var, 0])
-            continue
-        # conflict: undo to the most recent decision with an untried branch
-        while decisions:
-            dvar, tried_false = decisions[-1]
-            while True:
-                v = trail.pop()
-                del assign[v]
-                if v == dvar:
-                    break
-            if tried_false:
-                decisions.pop()
-                continue
-            decisions[-1][1] = 1
-            assign[dvar] = False
-            trail.append(dvar)
-            break
-        else:
-            return None
+    state = Dpll(clauses)
+    if not state.search():
+        return None
+    return dict(zip(state.ids, map(state.val.__getitem__, state.variables)))

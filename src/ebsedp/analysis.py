@@ -10,8 +10,9 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 
 from .edp import BoundReport
 from .errors import CapExceeded
-from .groundsat import (AtomTable, PConst, PropFormula, all_models, dpll_solve,
-                        ground_fixed_universe, p_and, p_not, p_or, tseitin)
+from .groundsat import (DEFAULT_NODE_CAP, AtomTable, PConst, PropFormula,
+                        all_models, dpll_solve, ground_fixed_universe, p_and,
+                        p_not, p_or, tseitin)
 from .structures import (FiniteStructure, count_structures,
                          enumerate_structures, evaluate)
 from .syntax import (EXISTS, FORALL, Atom, Const, Eq, PrenexForm, Term, Var,
@@ -116,7 +117,7 @@ def _model_to_structure(pf: PrenexForm, n: int, table: AtomTable,
 
 
 def _sat_at_size(pf: PrenexForm, n: int,
-                 node_cap: int = 1_000_000) -> Optional[FiniteStructure]:
+                 node_cap: int = DEFAULT_NODE_CAP) -> Optional[FiniteStructure]:
     """A model of pf with universe exactly {0..n-1}, or None."""
     for consts in _const_valuations(pf.vocabulary, n):
         prop, table = ground_fixed_universe(pf, n, const_values=consts,
@@ -132,7 +133,7 @@ def _sat_at_size(pf: PrenexForm, n: int,
 
 
 def decide_sat_bounded(pf: PrenexForm, B: int,
-                       node_cap: int = 1_000_000) -> SatOutcome:
+                       node_cap: int = DEFAULT_NODE_CAP) -> SatOutcome:
     """SAT iff some structure of size ≤ max(B,1) models pf.  Complete only
     under a bounded-model guarantee for pf (e.g. a membership bound B)."""
     if B < 0:
@@ -331,7 +332,7 @@ def interleaved_sat(pf: PrenexForm,
 # Spectra
 
 def spectrum(pf: PrenexForm, nMax: int,
-             node_cap: int = 1_000_000) -> SpectrumResult:
+             node_cap: int = DEFAULT_NODE_CAP) -> SpectrumResult:
     if nMax < 1:
         raise ValueError("nMax must be positive")
     realizable: List[bool] = []
@@ -351,7 +352,7 @@ NCAP_NOTE = "equivalence verified up to size nCap only"
 
 
 def bounded_equiv(f: PrenexForm, g: PrenexForm, nCap: int,
-                  node_cap: int = 1_000_000) -> EquivResult:
+                  node_cap: int = DEFAULT_NODE_CAP) -> EquivResult:
     """True iff no structure of size ≤ nCap distinguishes the two sentences
     (bounded stand-in for full validity of f ↔ g, which is undecidable)."""
     if f.vocabulary != g.vocabulary:
@@ -413,7 +414,7 @@ def _all_structure_models(pf: PrenexForm, n: int,
 
 
 def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,
-               node_cap: int = 1_000_000,
+               node_cap: int = DEFAULT_NODE_CAP,
                model_cap: int = 200_000) -> EbsVerdict:
     """Bounded refuter/confirmer for the extensible bounded-submodel
     property: for every model M of size ≤ nMax, search a core M1 of size ≤ B

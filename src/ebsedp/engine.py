@@ -1,8 +1,7 @@
-"""Kernel selection: use the compiled DPLL core when available.
-
-The compiled extension (_dpllcore, built from Cython) and the pure-Python
-fallback (_dpll_py) implement the identical deterministic algorithm.  Set
-EBSEDP_PURE=1 to force the fallback.
+"""Kernel selection: the compiled DPLL core (_dpllcore, built from Cython)
+when available, else the pure-Python watched-literal kernel (_dpll_py).
+Both run the same search and return the same models; EBSEDP_PURE=1 forces
+the pure kernel.
 """
 
 from __future__ import annotations

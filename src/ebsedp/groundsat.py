@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from . import engine
+from . import _dpll_py, engine
 from .errors import CapExceeded
 from .syntax import EXISTS, FORALL, Atom, Const, Eq, PrenexForm, Term, Var
 
@@ -263,48 +263,32 @@ def all_models(cnf: Sequence[Sequence[int]],
                projection: Iterable[int]) -> Iterator[Dict[int, bool]]:
     """Every satisfying assignment restricted to projection, exactly once.
 
-    Deterministic depth-first enumeration over the projection variables in
-    ascending order (false branch first), with a DPLL call on the residual
-    clauses at each leaf; equivalent to blocking-clause enumeration but
-    without the quadratic clause growth.
-    """
+    Deterministic depth-first search over the projection variables in
+    ascending order, false first, on one pure-kernel state: each branch
+    assumes and propagates (a conflict prunes only model-free subtrees),
+    each leaf searches for an extension.  Variables outside cnf take both
+    values."""
     proj = sorted(set(projection))
+    state = _dpll_py.Dpll(cnf)
+    index = dict(zip(state.ids, state.variables))
     assign: Dict[int, bool] = {}
 
-    def residual_ok() -> Optional[List[List[int]]]:
-        rest: List[List[int]] = []
-        for clause in cnf:
-            keep = []
-            satisfied = False
-            for lit in clause:
-                val = assign.get(abs(lit))
-                if val is None:
-                    keep.append(lit)
-                elif (lit > 0) == val:
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if not keep:
-                return None
-            rest.append(keep)
-        return rest
-
     def rec(i: int) -> Iterator[Dict[int, bool]]:
-        rest = residual_ok()
-        if rest is None:
-            return
         if i == len(proj):
-            if engine.solve(rest) is not None:
+            if state.search():
                 yield dict(assign)
             return
         v = proj[i]
+        mark = len(state.trail)
         for value in (False, True):
-            assign[v] = value
-            yield from rec(i + 1)
-        del assign[v]
+            if v not in index or state.assume(index[v] if value else -index[v]):
+                assign[v] = value
+                yield from rec(i + 1)
+            state.undo(mark)
+        assign.pop(v, None)
 
-    yield from rec(0)
+    if state.ok:
+        yield from rec(0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ebsedp._dpll_py as dpll_py
-from ebsedp import engine
+import reference_dpll
+from ebsedp import _dpll_py
 from ebsedp.errors import CapExceeded
 from ebsedp.groundsat import (AtomTable, PAnd, PConst, PLit, PNot, POr,
                               all_models, bsr_ground, dpll_solve,
@@ -103,11 +103,41 @@ def test_dpll_matches_truth_table(cnf):
 @settings(max_examples=300, deadline=None)
 @given(cnf=cnfs(max_var=7, max_clauses=12))
 def test_kernels_agree(cnf):
-    a = dpll_py.solve(cnf)
-    b = engine.solve(cnf)
-    assert (a is None) == (b is None)
-    if a is not None:
-        assert a == b  # same branching order: identical assignments
+    # same branching order as the naive reference: identical assignments
+    want = reference_dpll.solve(cnf)
+    assert dpll_solve(cnf) == want
+    assert _dpll_py.solve(cnf) == want
+
+
+@pytest.mark.parametrize("cnf,want", [
+    ([], {}),
+    ([[]], None),
+    ([[1, 2], [], [3]], None),
+    ([[1], [2, 3], [-1, 2], []], None),
+    # duplicate literals act as a unit or a shorter clause
+    ([[1, 1]], {1: True}),
+    ([[-1, -1], [1, 2]], {1: False, 2: True}),
+    ([[2, 2, 3], [-3]], {2: True, 3: False}),
+    ([[-2, -2, -3, -3], [2]], {2: True, 3: False}),
+    ([[1, 2, 2, 1], [-1], [-2]], None),
+    # a variable only in a tautology is still in the model, set true
+    ([[1, -1]], {1: True}),
+    ([[-1, 2, 1]], {1: True, 2: True}),
+    ([[3, -3], [-1]], {1: False, 3: True}),
+    ([[1, -1, 2], [-2], [-1, -1]], {1: False, 2: False}),
+    # unit clauses that conflict, directly or through propagation
+    ([[1], [-1]], None),
+    ([[1], [2], [-1, -2]], None),
+    ([[1, 1], [-1, -1, -1]], None),
+    ([[-3], [1, 2, 3], [-1], [-2]], None),
+    # sparse variable ids
+    ([[10**9, -5], [5]], {5: True, 10**9: True}),
+    ([[-10**9, 7, 3], [-7], [-3, -3]], {3: False, 7: False, 10**9: False}),
+])
+@pytest.mark.parametrize("solve", [dpll_solve, _dpll_py.solve])
+def test_kernel_edge_cases(solve, cnf, want):
+    assert reference_dpll.solve(cnf) == want
+    assert solve(cnf) == want
 
 
 def test_kernel_selection_reported():
@@ -230,6 +260,36 @@ def test_all_models_exact(cnf):
         if all(any(a[abs(l)] == (l > 0) for l in c) for c in cnf):
             want.add(tuple(sorted(a.items())))
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(cnf=cnfs(max_var=5, max_clauses=8),
+       projection=st.lists(st.integers(1, 7), max_size=7))
+def test_all_models_matches_reference(cnf, projection):
+    # projection variables 6 and 7 never occur in the CNF
+    got = list(all_models(cnf, projection))
+    want = list(reference_dpll.all_models(cnf, projection))
+    assert got == want
+    assert [list(m) for m in got] == [list(m) for m in want]  # key order
+
+
+@pytest.mark.parametrize("cnf,projection,want", [
+    ([[1, 2]], [], [{}]),
+    ([[1], [-1]], [], []),
+    ([[]], [1], []),
+    ([], [2, 1], [{1: False, 2: False}, {1: False, 2: True},
+                  {1: True, 2: False}, {1: True, 2: True}]),
+    ([[1, -1], [-2]], [3, 2, 1], [{1: False, 2: False, 3: False},
+                                  {1: False, 2: False, 3: True},
+                                  {1: True, 2: False, 3: False},
+                                  {1: True, 2: False, 3: True}]),
+    ([[10**9, -5], [-10**9]], [10**9, 5, 4],
+     [{4: False, 5: False, 10**9: False}, {4: True, 5: False, 10**9: False}]),
+])
+def test_all_models_edge_cases(cnf, projection, want):
+    got = list(all_models(cnf, projection))
+    assert got == want == list(reference_dpll.all_models(cnf, projection))
+    assert [list(m) for m in got] == [list(m) for m in want]
 
 
 # -- BSR grounding ---------------------------------------------------------
