@@ -1,8 +1,9 @@
 """Pure-Python DPLL kernel with two watched literals.
 
 Same search as _dpllcore: propagate to fixpoint, branch on the smallest
-unassigned variable, true first, backtrack chronologically.  Propagation
-closures do not depend on visiting order, so both return the same model.
+unassigned variable, true first, backtrack chronologically.  It returns the
+lexicographically greatest model (variables ascending, true above false)
+whatever order clauses propagate in, so both kernels return the same model.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ class Dpll:
                     keep.append(c)
                     continue
                 for k in range(2, len(c)):
-                    lit = c[k]
-                    if val[lit] is not False:
-                        c[1], c[k] = lit, false
-                        watch[-lit].append(c)
+                    alt = c[k]
+                    if val[alt] is not False:
+                        c[1], c[k] = alt, false
+                        watch[-alt].append(c)
                         break
                 else:
                     keep.append(c)
@@ -130,4 +131,4 @@ def solve(clauses: Sequence[Sequence[int]]) -> Optional[Dict[int, bool]]:
     state = Dpll(clauses)
     if not state.search():
         return None
-    return dict(zip(state.ids, map(state.val.__getitem__, state.variables)))
+    return {v: state.val[x] for v, x in zip(state.ids, state.variables)}

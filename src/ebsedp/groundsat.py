@@ -268,27 +268,28 @@ def all_models(cnf: Sequence[Sequence[int]],
     assumes and propagates (a conflict prunes only model-free subtrees),
     each leaf searches for an extension.  Variables outside cnf take both
     values."""
-    proj = sorted(set(projection))
     state = _dpll_py.Dpll(cnf)
-    index = dict(zip(state.ids, state.variables))
-    assign: Dict[int, bool] = {}
-
-    def rec(i: int) -> Iterator[Dict[int, bool]]:
-        if i == len(proj):
-            if state.search():
-                yield dict(assign)
-            return
-        v = proj[i]
-        mark = len(state.trail)
-        for value in (False, True):
-            if v not in index or state.assume(index[v] if value else -index[v]):
-                assign[v] = value
-                yield from rec(i + 1)
-            state.undo(mark)
-        assign.pop(v, None)
-
     if state.ok:
-        yield from rec(0)
+        index = dict(zip(state.ids, state.variables))
+        yield from _extend(state, sorted(set(projection)), index, {}, 0)
+
+
+def _extend(state: _dpll_py.Dpll, proj: List[int], index: Dict[int, int],
+            assign: Dict[int, bool], i: int) -> Iterator[Dict[int, bool]]:
+    # a module-level generator, not a closure, so that no reference cycle
+    # keeps the kernel state alive after enumeration ends
+    if i == len(proj):
+        if state.search():
+            yield dict(assign)
+        return
+    v = proj[i]
+    mark = len(state.trail)
+    for value in (False, True):
+        if v not in index or state.assume(index[v] if value else -index[v]):
+            assign[v] = value
+            yield from _extend(state, proj, index, assign, i + 1)
+        state.undo(mark)
+    assign.pop(v, None)
 
 
 # ---------------------------------------------------------------------------
