@@ -46,8 +46,8 @@ class Dpll:
         self.ok = self.ok and all(map(self.assume, units))
 
     def assume(self, lit: int) -> bool:
-        """Make lit true and propagate.  False on conflict; the state is then
-        inconsistent until undo()."""
+        """Make lit, over a variable in self.variables, true and propagate.
+        False on conflict; the state is then inconsistent until undo()."""
         trail, val, imp, watch = self.trail, self.val, self.imp, self.watch
         if val[lit] is not None:
             return val[lit]
@@ -104,14 +104,12 @@ class Dpll:
         the state search started from."""
         if not self.ok:
             return False
-        variables, val = self.variables, self.val
+        variables, val, n = self.variables, self.val, len(self.variables)
         stack = []  # (trail length before a decision, its variable's index)
         i = 0
-        while True:
-            while i < len(variables) and val[variables[i]] is not None:
+        while len(self.trail) < n:  # the trail holds only mentioned variables
+            while val[variables[i]] is not None:
                 i += 1
-            if i == len(variables):
-                return True
             stack.append((len(self.trail), i))
             if self.assume(variables[i]):
                 continue
@@ -124,6 +122,7 @@ class Dpll:
                         break
             else:
                 return False
+        return True
 
 
 def solve(clauses: Sequence[Sequence[int]]) -> Optional[Dict[int, bool]]:
