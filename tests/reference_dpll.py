@@ -1,7 +1,7 @@
-"""Reference oracles for the SAT kernel: the naive DPLL solver and the
-residual-CNF model enumerator that ``ebsedp`` used before its
-watched-literal kernel.  Tests require the library to return exactly what
-these return, model for model and in the same order."""
+"""Reference oracles for the SAT kernel: a naive DPLL solver that rescans
+every clause on each propagation round, and a model enumerator that
+rebuilds the residual CNF at every node.  Tests require the library to
+return exactly what these return, model for model and in the same order."""
 
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +141,23 @@ def test_kernel_edge_cases(solve, cnf, want):
     assert solve(cnf) == want
 
 
+def random_3cnf(seed, n_vars, ratio):
+    rng = random.Random(seed)
+    return [[v if rng.random() < 0.5 else -v
+             for v in rng.sample(range(1, n_vars + 1), 3)]
+            for _ in range(int(ratio * n_vars))]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernels_agree_on_random_3cnf(seed):
+    # near the phase transition: deep searches with many conflicts, which
+    # the small hypothesis CNFs above rarely reach
+    cnf = random_3cnf(seed, 30 + seed, 4.26)
+    want = reference_dpll.solve(cnf)
+    assert dpll_solve(cnf) == want
+    assert _dpll_py.solve(cnf) == want
+
+
 def test_kernel_selection_reported():
     import ebsedp
     assert ebsedp.KERNEL in ("compiled", "pure")
@@ -271,6 +289,14 @@ def test_all_models_matches_reference(cnf, projection):
     want = list(reference_dpll.all_models(cnf, projection))
     assert got == want
     assert [list(m) for m in got] == [list(m) for m in want]  # key order
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_all_models_matches_reference_on_random_3cnf(seed):
+    cnf = random_3cnf(seed, 14, 3.0)
+    projection = range(1, 9)
+    got = list(all_models(cnf, projection))
+    assert got == list(reference_dpll.all_models(cnf, projection))
 
 
 @pytest.mark.parametrize("cnf,projection,want", [
