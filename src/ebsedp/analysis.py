@@ -10,13 +10,13 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 
 from .edp import BoundReport
 from .errors import CapExceeded
-from .groundsat import (DEFAULT_NODE_CAP, AtomTable, PConst, PropFormula,
-                        all_models, dpll_solve, ground_fixed_universe, p_and,
-                        p_not, p_or, tseitin)
+from .groundsat import (DEFAULT_NODE_CAP, AtomKey, AtomTable, GroundLiteral,
+                        PConst, all_models, dpll_solve, ground_fixed_universe,
+                        ground_over_domain, literal_triples, p_and, p_not, p_or,
+                        tseitin)
 from .structures import (FiniteStructure, count_structures,
                          enumerate_structures, evaluate)
-from .syntax import (EXISTS, FORALL, Atom, Const, Eq, PrenexForm, Term, Var,
-                     Vocabulary)
+from .syntax import FORALL, Const, PrenexForm, Term, Vocabulary
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -106,11 +106,16 @@ def _const_valuations(vocab: Vocabulary, n: int) -> Iterator[Dict[str, int]]:
 
 def _model_to_structure(pf: PrenexForm, n: int, table: AtomTable,
                         assignment: Mapping[int, bool],
-                        const_values: Mapping[str, int]) -> FiniteStructure:
+                        const_values: Mapping[str, int],
+                        extra: Iterable[AtomKey] = ()) -> FiniteStructure:
+    """The structure whose true atoms are those of table true in assignment,
+    plus the atoms in extra."""
     interp: Dict[str, set] = {name: set() for name, _ in pf.vocabulary.predicates}
     for atom_id, (pred, args) in table.items():
         if pred != "=" and assignment.get(atom_id, False):
             interp[pred].add(args)
+    for pred, args in extra:
+        interp[pred].add(args)
     return FiniteStructure(pf.vocabulary, n,
                            {k: frozenset(v) for k, v in interp.items()},
                            dict(const_values))
@@ -156,7 +161,7 @@ def decide_sat_bounded(pf: PrenexForm, B: int,
 _STerm = Tuple
 
 
-def _skolemize(pf: PrenexForm) -> Tuple[List[List[Tuple[bool, str, Tuple[_STerm, ...]]]],
+def _skolemize(pf: PrenexForm) -> Tuple[List[List[GroundLiteral]],
                                         List[Tuple[str, int]], List[str]]:
     """CNF clauses over skolem terms, the skolem function signatures, and the
     base constants of the Herbrand universe."""
@@ -177,13 +182,7 @@ def _skolemize(pf: PrenexForm) -> Tuple[List[List[Tuple[bool, str, Tuple[_STerm,
             return ("c", t.name)
         return env[t.name]
 
-    clauses = [[(lit.positive,
-                 "=" if isinstance(lit.atom, Eq) else lit.atom.predicate,
-                 tuple(conv(t) for t in ((lit.atom.left, lit.atom.right)
-                                          if isinstance(lit.atom, Eq)
-                                          else lit.atom.args)))
-                for lit in clause]
-               for clause in pf.matrix]
+    clauses = literal_triples(pf.matrix, conv)
     base = list(pf.vocabulary.constants)
     if not base and not any(a == 0 for _, a in funcs):
         base = ["h0"]
@@ -230,63 +229,8 @@ def _refute_at_depth(pf: PrenexForm, depth: int, step_cap: int) -> bool:
     univ = sorted({t[1] for cl in clauses for _, _, args in cl
                    for t0 in args for t in _walk_vars(t0)})
     terms = _herbrand_terms(funcs, base, depth, step_cap)
-    table = AtomTable()
-    cnf: List[List[int]] = []
-    uses_eq = any(pred == "=" for cl in clauses for _, pred, _ in cl)
-
-    def charge():
-        if len(cnf) > step_cap:
-            raise CapExceeded("refutation step cap", len(cnf), step_cap)
-
-    def eq_lit(a: _STerm, b: _STerm) -> Optional[int]:
-        if a == b:
-            return None
-        key = tuple(sorted((repr(a), repr(b))))
-        return table.id_of(("=", key))
-
-    for values in itertools.product(terms, repeat=len(univ)):
-        a = dict(zip(univ, values))
-        for cl in clauses:
-            out: List[int] = []
-            satisfied = False
-            for positive, pred, args in cl:
-                gargs = tuple(_subst_sterm(t, a) for t in args)
-                if pred == "=":
-                    e = eq_lit(gargs[0], gargs[1])
-                    if e is None:
-                        if positive:
-                            satisfied = True
-                            break
-                        continue
-                    out.append(e if positive else -e)
-                else:
-                    aid = table.id_of((pred, tuple(repr(g) for g in gargs)))
-                    out.append(aid if positive else -aid)
-            if not satisfied:
-                cnf.append(out)
-                charge()
-
-    if uses_eq:
-        for x, y, z in itertools.permutations(terms, 3):
-            ab, bc, ac = eq_lit(x, y), eq_lit(y, z), eq_lit(x, z)
-            cnf.append([-ab, -bc, ac])
-            charge()
-        preds = sorted({(pred, len(args)) for cl in clauses
-                        for _, pred, args in cl if pred != "=" and args})
-        for pred, arity in preds:
-            for t in itertools.product(terms, repeat=arity):
-                for u in itertools.product(terms, repeat=arity):
-                    if t == u:
-                        continue
-                    body = []
-                    for ta, ua in zip(t, u):
-                        e = eq_lit(ta, ua)
-                        if e is not None:
-                            body.append(-e)
-                    pa = table.id_of((pred, tuple(repr(g) for g in t)))
-                    pb = table.id_of((pred, tuple(repr(g) for g in u)))
-                    cnf.append(body + [-pa, pb])
-                    charge()
+    cnf, _ = ground_over_domain(clauses, univ, terms, _subst_sterm, repr,
+                                step_cap, "refutation step cap")
     return dpll_solve(cnf) is None
 
 
@@ -400,17 +344,8 @@ def _all_structure_models(pf: PrenexForm, n: int,
                      if table.lookup((name, args)) is None]
         for assignment in all_models(cnf, atom_ids):
             for bits in itertools.product((False, True), repeat=len(free_keys)):
-                interp: Dict[str, set] = {name: set()
-                                          for name, _ in pf.vocabulary.predicates}
-                for atom_id, (pred, args) in table.items():
-                    if pred != "=" and assignment.get(atom_id, False):
-                        interp[pred].add(args)
-                for (pred, args), value in zip(free_keys, bits):
-                    if value:
-                        interp[pred].add(args)
-                yield FiniteStructure(pf.vocabulary, n,
-                                      {k: frozenset(v) for k, v in interp.items()},
-                                      consts)
+                yield _model_to_structure(pf, n, table, assignment, consts,
+                                          itertools.compress(free_keys, bits))
 
 
 def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,

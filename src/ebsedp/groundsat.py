@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from . import _dpll_py, engine
 from .errors import CapExceeded
-from .syntax import EXISTS, FORALL, Atom, Const, Eq, PrenexForm, Term, Var
+from .syntax import EXISTS, FORALL, Const, Eq, Literal, PrenexForm, Term, Var
 
 DEFAULT_NODE_CAP = 1_000_000
 DEFAULT_CLAUSE_CAP = 1_000_000
@@ -293,7 +294,83 @@ def _extend(state: _dpll_py.Dpll, proj: List[int], index: Dict[int, int],
 
 
 # ---------------------------------------------------------------------------
-# BSR (∃*∀*) grounding with equality axioms
+# Grounding clauses over a domain, with equality axioms
+
+# a literal as (positive, predicate or "=", argument terms)
+GroundLiteral = Tuple[bool, str, Tuple]
+
+
+def literal_triples(matrix: Sequence[Sequence[Literal]],
+                    conv: Callable[[Term], object]) -> List[List[GroundLiteral]]:
+    """The matrix as (positive, predicate or "=", args) literals, with
+    every term mapped through conv."""
+    return [[(lit.positive, "=", (conv(lit.atom.left), conv(lit.atom.right)))
+             if isinstance(lit.atom, Eq) else
+             (lit.positive, lit.atom.predicate, tuple(conv(t) for t in lit.atom.args))
+             for lit in clause]
+            for clause in matrix]
+
+
+def ground_over_domain(clauses: Sequence[Sequence[GroundLiteral]],
+                       variables: Sequence[str], domain: Sequence,
+                       subst: Callable[[object, Mapping[str, object]], object],
+                       key: Callable[[object], object],
+                       cap: int, cap_name: str) -> Tuple[GroundCnf, AtomTable]:
+    """Instantiate clauses under every assignment of domain elements to
+    variables (subst applies one to a term, key names a ground term in the
+    atom table).  Equalities between equal terms fold to true; distinct ones
+    are atoms symmetric by sorted keys.  When "=" occurs, transitivity over
+    the domain and congruence for every predicate used are added."""
+    table = AtomTable()
+    cnf: GroundCnf = []
+
+    def add(clause: List[int]) -> None:
+        cnf.append(clause)
+        if len(cnf) > cap:
+            raise CapExceeded(cap_name, len(cnf), cap)
+
+    def eq_lit(x, y) -> Optional[int]:
+        if x == y:
+            return None  # reflexivity: true
+        return table.id_of(("=", tuple(sorted((key(x), key(y))))))
+
+    for values in itertools.product(domain, repeat=len(variables)):
+        a = dict(zip(variables, values))
+        for clause in clauses:
+            out: List[int] = []
+            satisfied = False
+            for positive, pred, args in clause:
+                gargs = tuple(subst(t, a) for t in args)
+                if pred == "=":
+                    e = eq_lit(gargs[0], gargs[1])
+                    if e is None:
+                        if positive:
+                            satisfied = True
+                            break
+                        continue  # a trivially-false literal drops out
+                    out.append(e if positive else -e)
+                else:
+                    aid = table.id_of((pred, tuple(key(g) for g in gargs)))
+                    out.append(aid if positive else -aid)
+            if not satisfied:
+                add(out)
+
+    if any(pred == "=" for clause in clauses for _, pred, _ in clause):
+        for x, y, z in itertools.permutations(domain, 3):
+            add([-eq_lit(x, y), -eq_lit(y, z), eq_lit(x, z)])
+        preds = sorted({(pred, len(args)) for clause in clauses
+                        for _, pred, args in clause if pred != "=" and args})
+        for pred, arity in preds:
+            for t in itertools.product(domain, repeat=arity):
+                for u in itertools.product(domain, repeat=arity):
+                    if t == u:
+                        continue
+                    body = [-e for e in map(eq_lit, t, u) if e is not None]
+                    pa = table.id_of((pred, tuple(key(g) for g in t)))
+                    pb = table.id_of((pred, tuple(key(g) for g in u)))
+                    add(body + [-pa, pb])
+    return cnf, table
+
 
 def bsr_ground(pf: PrenexForm,
                clause_cap: int = DEFAULT_CLAUSE_CAP) -> Tuple[GroundCnf, AtomTable]:
@@ -318,74 +395,15 @@ def bsr_ground(pf: PrenexForm,
     if not domain:
         domain.append("c_0")
 
-    table = AtomTable()
-    cnf: GroundCnf = []
-    uses_eq = any(isinstance(lit.atom, Eq) for clause in pf.matrix for lit in clause)
-
-    def charge():
-        if len(cnf) > clause_cap:
-            raise CapExceeded("BSR grounding clause cap", len(cnf), clause_cap)
-
-    def term_name(t: Term, a: Dict[str, str]) -> str:
+    def conv(t: Term):
+        # a universal stays a variable; the rest become constant names
         if isinstance(t, Const):
             return t.name
-        return a.get(t.name) or var_const[t.name]
+        return t if t.name in univ_vars else var_const[t.name]
 
-    def eq_lit(a: str, b: str) -> Optional[int]:
-        if a == b:
-            return None  # reflexivity: true
-        return table.id_of(("=", tuple(sorted((a, b)))))
-
-    for values in itertools.product(domain, repeat=len(univ_vars)):
-        a = dict(zip(univ_vars, values))
-        for clause in pf.matrix:
-            out: List[int] = []
-            satisfied = False
-            for lit in clause:
-                atom = lit.atom
-                if isinstance(atom, Eq):
-                    na, nb = term_name(atom.left, a), term_name(atom.right, a)
-                    e = eq_lit(na, nb)
-                    if e is None:
-                        if lit.positive:
-                            satisfied = True
-                            break
-                        continue  # a trivially-false literal drops out
-                    out.append(e if lit.positive else -e)
-                else:
-                    args = tuple(term_name(t, a) for t in atom.args)
-                    aid = table.id_of((atom.predicate, args))
-                    out.append(aid if lit.positive else -aid)
-            if not satisfied:
-                cnf.append(out)
-                charge()
-
-    if uses_eq:
-        # transitivity over the constant universe
-        for x, y, z in itertools.permutations(domain, 3):
-            ab, bc, ac = eq_lit(x, y), eq_lit(y, z), eq_lit(x, z)
-            cnf.append([-ab, -bc, ac])
-            charge()
-        # congruence for predicates that occur in the matrix
-        used_preds = sorted({lit.atom.predicate
-                             for clause in pf.matrix for lit in clause
-                             if isinstance(lit.atom, Atom) and lit.atom.args})
-        for pred in used_preds:
-            arity = pf.vocabulary.arity(pred)
-            for t in itertools.product(domain, repeat=arity):
-                for u in itertools.product(domain, repeat=arity):
-                    if t == u:
-                        continue
-                    body = []
-                    for ta, ua in zip(t, u):
-                        e = eq_lit(ta, ua)
-                        if e is not None:
-                            body.append(-e)
-                    pa = table.id_of((pred, t))
-                    pb = table.id_of((pred, u))
-                    cnf.append(body + [-pa, pb])
-                    charge()
-    return cnf, table
+    return ground_over_domain(literal_triples(pf.matrix, conv), univ_vars, domain,
+                              lambda t, a: a[t.name] if isinstance(t, Var) else t,
+                              str, clause_cap, "BSR grounding clause cap")
 
 
 # ---------------------------------------------------------------------------

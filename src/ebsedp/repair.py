@@ -14,9 +14,9 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .edp import EXISTENTIAL, FREE, UNIVERSAL, Classification, classify, edp_check
 from .errors import RepairInternalError
-from .structures import (FiniteStructure, SubsetWitness, evaluate,
-                         generated_substructure)
-from .syntax import EXISTS, FORALL, Const, Eq, PrenexForm, Term, Var
+from .structures import (FiniteStructure, SubsetWitness, _eval_matrix,
+                         _eval_prenex, evaluate, generated_substructure)
+from .syntax import FORALL, PrenexForm, Term, Var
 
 
 @dataclass(frozen=True)
@@ -42,39 +42,8 @@ def _check_witness(pf: PrenexForm, M: FiniteStructure, witness: Tuple[int, ...])
     if len(witness) != len(V):
         raise ValueError(f"witness must assign the {len(V)} leftmost-existential "
                          "variables")
-    a = dict(zip(V, witness))
-    if not _suffix_true(pf, M, len(V), a):
+    if not _eval_prenex(M, pf, len(V), dict(zip(V, witness))):
         raise ValueError("M does not model the sentence with the given witness")
-
-
-def _suffix_true(pf: PrenexForm, M: FiniteStructure, i: int, a: Dict[str, int]) -> bool:
-    if i == len(pf.prefix):
-        return _matrix_true(pf, M, a)
-    q, v = pf.prefix[i]
-    values = range(M.n)
-    if q == FORALL:
-        return all(_suffix_true(pf, M, i + 1, {**a, v: e}) for e in values)
-    return any(_suffix_true(pf, M, i + 1, {**a, v: e}) for e in values)
-
-
-def _matrix_true(pf: PrenexForm, M: FiniteStructure, a: Mapping[str, int]) -> bool:
-    def value(t: Term) -> int:
-        return a[t.name] if isinstance(t, Var) else M.constant_values[t.name]
-
-    for clause in pf.matrix:
-        ok = False
-        for lit in clause:
-            atom = lit.atom
-            if isinstance(atom, Eq):
-                truth = value(atom.left) == value(atom.right)
-            else:
-                truth = M.holds(atom.predicate, tuple(value(t) for t in atom.args))
-            if truth == lit.positive:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
 
 
 def edp_core(pf: PrenexForm, sigma: Iterable[str], M: FiniteStructure,
@@ -134,7 +103,7 @@ def edp_extend(pf: PrenexForm, sigma: Iterable[str], M: FiniteStructure,
     if any(not (0 <= e < M.n) for e in mid_elems):
         raise ValueError("mid element outside universe")
 
-    M2, _ = generated_substructure(M, mid_elems)
+    M2, relabel = generated_substructure(M, mid_elems)
     if core.vacuous or evaluate(M2, pf):
         return M2
 
@@ -157,7 +126,7 @@ def edp_extend(pf: PrenexForm, sigma: Iterable[str], M: FiniteStructure,
         if i == len(prefix):
             a = dict(base_assign)
             a.update({prefix[base_i + j][1]: vals[j] for j in range(len(vals))})
-            out = _matrix_true(pf, M, a)
+            out = _eval_matrix(M, pf, a)
         else:
             q = prefix[i][0]
             if q == FORALL:
@@ -240,22 +209,15 @@ def edp_extend(pf: PrenexForm, sigma: Iterable[str], M: FiniteStructure,
                 "(distinguishability check bug)")
         final[atom] = True  # cure
 
-    # assemble: copy M on mid (the default pass), then overlay the assignments
-    relabel = {old: new for new, old in enumerate(mid_elems)}
-    keep = set(mid_elems)
-    interp = {}
-    for name, arity in M.vocabulary.predicates:
-        tuples = {t for t in M.interpretation[name] if set(t) <= keep}
-        for (pred, args), value in final.items():
-            if pred != name:
-                continue
-            if value:
-                tuples.add(args)
-            else:
-                tuples.discard(args)
-        interp[name] = frozenset(tuple(relabel[e] for e in t) for t in tuples)
-    consts = {cname: relabel[v] for cname, v in M.constant_values.items()}
-    M2p = FiniteStructure(M.vocabulary, len(mid_elems), interp, consts)
+    # overlay the assignments on M's substructure (the copy-from-M default)
+    interp = {name: set(tuples) for name, tuples in M2.interpretation.items()}
+    for (pred, args), value in final.items():
+        t = tuple(relabel[e] for e in args)
+        if value:
+            interp[pred].add(t)
+        else:
+            interp[pred].discard(t)
+    M2p = FiniteStructure(M.vocabulary, M2.n, interp, M2.constant_values)
 
     if not evaluate(M2p, pf):
         raise RepairInternalError("repaired structure fails the sentence "

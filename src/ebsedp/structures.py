@@ -140,17 +140,20 @@ def _eval_formula(M: FiniteStructure, f: Formula, a: Dict[str, int]) -> bool:
 
 
 def _eval_prenex(M: FiniteStructure, pf: PrenexForm, i: int, a: Dict[str, int]) -> bool:
+    """Truth of pf's prefix from position i on, with its matrix, under a."""
     if i == len(pf.prefix):
-        return all(
-            any(_eval_literal(M, lit, a) for lit in clause)
-            for clause in pf.matrix)
+        return _eval_matrix(M, pf, a)
     q, v = pf.prefix[i]
     if q == FORALL:
         return all(_eval_prenex(M, pf, i + 1, {**a, v: e}) for e in range(M.n))
     return any(_eval_prenex(M, pf, i + 1, {**a, v: e}) for e in range(M.n))
 
 
-def _eval_literal(M: FiniteStructure, lit, a: Dict[str, int]) -> bool:
+def _eval_matrix(M: FiniteStructure, pf: PrenexForm, a: Mapping[str, int]) -> bool:
+    return all(any(_eval_literal(M, lit, a) for lit in clause) for clause in pf.matrix)
+
+
+def _eval_literal(M: FiniteStructure, lit, a: Mapping[str, int]) -> bool:
     atom = lit.atom
     if isinstance(atom, Eq):
         value = _eval_term(atom.left, M, a) == _eval_term(atom.right, M, a)

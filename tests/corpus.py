@@ -89,6 +89,14 @@ TWO_ELEMENTS = to_pcnf(Exists("x1", Exists("x2",
 
 ALL_EQUAL = to_pcnf(Forall("x", Forall("y", Eq(x, y))), VOC_P1)
 
+# unsatisfiable only through the congruence and the transitivity axioms
+EQ_CONGRUENCE = to_pcnf(Exists("a", Exists("b", And((
+    Eq(Var("a"), Var("b")), Atom("P", (Var("a"),)), Not(Atom("P", (Var("b"),))))))),
+    VOC_P1)
+EQ_TRANSITIVITY = to_pcnf(Exists("a", Exists("b", Exists("c", And((
+    Eq(Var("a"), Var("b")), Eq(Var("b"), Var("c")), Not(Eq(Var("a"), Var("c")))))))),
+    VOC_P1)
+
 # P is a total, irreflexive, symmetric, functional relation: a perfect
 # matching, so exactly the even sizes are realizable
 EVEN_MATCHING = to_pcnf(

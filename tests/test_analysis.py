@@ -12,9 +12,9 @@ from ebsedp.structures import evaluate
 from ebsedp.syntax import (And, Atom, Eq, Exists, Forall, Not, Or, Var,
                            Vocabulary, to_pcnf)
 
-from corpus import (ALL_EQUAL, CONTRADICTION, DAG, EVEN_MATCHING, EVEN_ORDER,
-                    EXAMPLE_B, EXAMPLE_C, TOTAL_RELATION, TWO_ELEMENTS,
-                    VOC_P2, P)
+from corpus import (ALL_EQUAL, CONTRADICTION, DAG, EQ_CONGRUENCE,
+                    EQ_TRANSITIVITY, EVEN_MATCHING, EVEN_ORDER, EXAMPLE_B,
+                    EXAMPLE_C, TOTAL_RELATION, TWO_ELEMENTS, VOC_P2, P)
 
 
 # -- bounded satisfiability ------------------------------------------------
@@ -77,6 +77,8 @@ def test_interleaved_sat_refutes():
              Exists("a", Exists("b", Not(Eq(Var("a"), Var("b")))))))
     pf = to_pcnf(f, voc)
     assert interleaved_sat(pf, (0, 2, 200_000)).verdict == UNSAT
+    for unsat in (EQ_CONGRUENCE, EQ_TRANSITIVITY):
+        assert interleaved_sat(unsat, (0, 0, 10_000)).verdict == UNSAT
 
 
 def test_interleaved_sat_unknown_on_infinity_axioms():

@@ -15,8 +15,8 @@ from ebsedp.structures import FiniteStructure, evaluate
 from ebsedp.syntax import (Atom, Eq, Exists, Forall, Not, Or, Var, Vocabulary,
                            to_pcnf)
 
-from corpus import (CONTRADICTION, EXAMPLE_C, TOTAL_RELATION, TWO_ELEMENTS,
-                    VOC_P1, VOC_P2)
+from corpus import (CONTRADICTION, EQ_CONGRUENCE, EQ_TRANSITIVITY, EXAMPLE_C,
+                    TOTAL_RELATION, TWO_ELEMENTS, VOC_P1, VOC_P2)
 
 
 # -- truth-table oracle for CNF sat ----------------------------------------
@@ -348,6 +348,9 @@ def test_bsr_ground_equality_axioms():
             Or((Eq(Var("z"), Var("x")),))))), VOC_P1)
     cnf2, _ = bsr_ground(both)
     assert dpll_solve(cnf2) is not None
+    for unsat in (EQ_CONGRUENCE, EQ_TRANSITIVITY):
+        cnf3, _ = bsr_ground(unsat)
+        assert dpll_solve(cnf3) is None
 
 
 def test_bsr_ground_clause_cap():
