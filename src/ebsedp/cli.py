@@ -310,9 +310,12 @@ def _build_parser() -> _Parser:
     return top
 
 
+# built at import, not per call: a build costs about as much as a short command
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as e:

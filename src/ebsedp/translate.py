@@ -8,12 +8,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import CapExceeded
-from .syntax import (EXISTS, FORALL, And, Atom, Eq, Exists, Forall, Formula,
-                     Literal, Not, Or, PrenexForm, Var, Vocabulary,
-                     all_var_names, and_, or_, substitute)
+from .syntax import (DEFAULT_CLAUSE_CAP, EXISTS, FORALL, And, Atom, Eq, Exists,
+                     Forall, Formula, Literal, Not, Or, PrenexForm, Var,
+                     Vocabulary, all_var_names, and_, or_, substitute)
 
 DEFAULT_DISJUNCT_CAP = 10_000
-DEFAULT_CLAUSE_CAP = 10_000
 
 
 @dataclass(frozen=True)
