@@ -9,8 +9,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import CapExceeded
 from .syntax import (DEFAULT_CLAUSE_CAP, EXISTS, FORALL, And, Atom, Eq, Exists,
-                     Forall, Formula, Literal, Not, Or, PrenexForm, Var,
-                     Vocabulary, all_var_names, and_, or_, substitute)
+                     Forall, Formula, Literal, Not, PrenexForm, Var, Vocabulary,
+                     and_, or_, substitute)
 
 DEFAULT_DISJUNCT_CAP = 10_000
 
