@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the DPLL kernels against the naive reference solver.
+"""Benchmark the DPLL kernel against the naive reference solver.
 
-Times the naive reference (tests/reference_dpll.py), the pure-Python
-watched-literal kernel and, when it is built, the compiled kernel.
-Instances: seeded random 3-CNF near the satisfiability phase transition,
-plus ground CNFs obtained from first-order corpus sentences.  All kernels
-run the same deterministic search, so assignments are compared bit for
-bit; a mismatch exits 1.
+Times the naive reference (tests/reference_dpll.py) and the pure-Python
+watched-literal kernel.  Instances: seeded random 3-CNF near the
+satisfiability phase transition, plus ground CNFs obtained from first-order
+corpus sentences.  Both run the same deterministic search, so assignments
+are compared bit for bit; a mismatch exits 1.
 
 Usage: python benchmarks/bench_dpll.py [--seed N] [--repeat N]
 """
@@ -23,11 +22,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import reference_dpll
 from ebsedp import _dpll_py
 from ebsedp.groundsat import AtomTable, ground_fixed_universe, tseitin
-
-try:
-    from ebsedp import _dpllcore
-except ImportError:
-    _dpllcore = None
 
 
 def random_3cnf(rng, n_vars, ratio=4.2):
@@ -61,7 +55,7 @@ def bench(fn, cnf, repeat):
         t0 = time.perf_counter()
         result = fn(cnf)
         times.append(time.perf_counter() - t0)
-    return result, min(times), statistics.median(times)
+    return result, min(times)
 
 
 def main(argv=None):
@@ -75,31 +69,22 @@ def main(argv=None):
                  for v in (40, 60, 80, 100)]
     instances += ground_instances()
 
-    kernels = [("reference", reference_dpll.solve), ("pure", _dpll_py.solve)]
-    if _dpllcore is not None:
-        kernels.append(("compiled", _dpllcore.solve))
-    print(f"{'instance':24s} {'clauses':>7s} "
-          + " ".join(f"{name:>10s}" for name, _ in kernels)
-          + f" {'speedup':>8s}  verdict")
-    speedups = {name: [] for name, _ in kernels[1:]}
+    print(f"{'instance':24s} {'clauses':>7s} {'reference':>10s} {'pure':>10s}"
+          f" {'speedup':>8s}  verdict")
+    speedups = []
     for name, cnf in instances:
-        results = [bench(fn, cnf, args.repeat)[:2] for _, fn in kernels]
-        want, t_ref = results[0]
-        for (kname, _), (got, _) in zip(kernels, results):
-            if got != want:  # identical models, or both None
-                print(f"{name}: {kname} kernel disagrees with the reference",
-                      file=sys.stderr)
-                return 1
-        for (kname, _), (_, t) in zip(kernels[1:], results[1:]):
-            speedups[kname].append(t_ref / t if t > 0 else float("inf"))
+        want, t_ref = bench(reference_dpll.solve, cnf, args.repeat)
+        got, t = bench(_dpll_py.solve, cnf, args.repeat)
+        if got != want:  # identical models, or both None
+            print(f"{name}: pure kernel disagrees with the reference",
+                  file=sys.stderr)
+            return 1
+        speedups.append(t_ref / t if t > 0 else float("inf"))
         verdict = "UNSAT" if want is None else "SAT"
-        print(f"{name:24s} {len(cnf):7d} "
-              + " ".join(f"{t:9.4f}s" for _, t in results)
-              + f" {speedups['pure'][-1]:7.1f}x  {verdict}")
-    print(f"\nkernels agree on all {len(instances)} instances; median speedup "
-          "over the reference: "
-          + ", ".join(f"{k} {statistics.median(v):.1f}x"
-                      for k, v in speedups.items()))
+        print(f"{name:24s} {len(cnf):7d} {t_ref:9.4f}s {t:9.4f}s"
+              f" {speedups[-1]:7.1f}x  {verdict}")
+    print(f"\nkernel agrees with the reference on all {len(instances)} "
+          f"instances; median speedup {statistics.median(speedups):.1f}x")
     return 0
 
 

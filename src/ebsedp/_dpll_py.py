@@ -1,9 +1,9 @@
-"""Pure-Python DPLL kernel with two watched literals.
+"""Pure-Python DPLL kernel with two watched literals, the package's SAT solver.
 
-Same search as _dpllcore: propagate to fixpoint, branch on the smallest
-unassigned variable, true first, backtrack chronologically.  It returns the
-lexicographically greatest model (variables ascending, true above false)
-whatever order clauses propagate in, so both kernels return the same model.
+Propagate to fixpoint, branch on the smallest unassigned variable, true
+first, backtrack chronologically.  It returns the lexicographically greatest
+model (variables ascending, true above false) whatever order clauses
+propagate in, so its models match the naive reference solver's bit for bit.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ from typing import Dict, List, Optional, Tuple
 from .analysis import SatOutcome, decide_sat_bounded
 from .edp import BoundReport, classify, edp_bound, edp_check
 from .parse import Problem, parse_formula_text
-from .syntax import (And, Exists, Formula, Not, PrenexForm, Term, Var,
-                     Vocabulary, and_, free_vars, to_pcnf)
+from .syntax import (Exists, Formula, Not, PrenexForm, Term, Var, Vocabulary,
+                     and_, free_vars, substitute, to_pcnf)
 
 NEXT_SUFFIX = "_next"
 
@@ -65,13 +65,12 @@ def _step_var(i: int, j: int) -> str:
 
 def _rename(f: Formula, state_vars: Tuple[str, ...], cur: int,
             nxt: Optional[int] = None) -> Formula:
-    from .syntax import substitute as _subst
     mapping: Dict[str, Term] = {
         v: Var(_step_var(cur, j + 1)) for j, v in enumerate(state_vars)}
     if nxt is not None:
         mapping.update({v + NEXT_SUFFIX: Var(_step_var(nxt, j + 1))
                         for j, v in enumerate(state_vars)})
-    return _subst(f, mapping)
+    return substitute(f, mapping)
 
 
 def _close(steps: int, state_vars: Tuple[str, ...], body: Formula) -> Formula:

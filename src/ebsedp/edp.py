@@ -3,12 +3,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .syntax import (EXISTS, FORALL, And, Atom, Const, Eq, Formula, Or,
-                     PrenexForm, Term, Var, Vocabulary, all_var_names,
-                     substitute, to_pcnf)
+from .syntax import (And, Atom, Const, Eq, Formula, Or, PrenexForm, Term, Var,
+                     Vocabulary, all_var_names, substitute)
 
 FREE = "free"
 UNIVERSAL = "universal"

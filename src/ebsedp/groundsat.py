@@ -1,4 +1,4 @@
-"""Propositional engine: fixed-universe grounding, Tseitin conversion, DPLL,
+"""Propositional layer: fixed-universe grounding, Tseitin conversion, DPLL,
 model enumeration, Herbrand-style BSR grounding, and DIMACS export."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from . import _dpll_py, engine
+from . import _dpll_py
 from .errors import CapExceeded
 from .syntax import EXISTS, FORALL, Const, Eq, Literal, PrenexForm, Term, Var
 
@@ -257,7 +257,7 @@ def _max_atom(p: PropFormula) -> int:
 
 def dpll_solve(cnf: Sequence[Sequence[int]]) -> Optional[Dict[int, bool]]:
     """SAT: total assignment over mentioned atoms; UNSAT: None."""
-    return engine.solve(cnf)
+    return _dpll_py.solve(cnf)
 
 
 def all_models(cnf: Sequence[Sequence[int]],

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
-from .edp import EXISTENTIAL, FREE, UNIVERSAL, Classification, classify, edp_check
+from .edp import classify, edp_check
 from .errors import RepairInternalError
 from .structures import (FiniteStructure, SubsetWitness, _eval_matrix,
                          _eval_prenex, evaluate, generated_substructure)

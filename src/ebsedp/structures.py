@@ -8,9 +8,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import CapExceeded
-from .syntax import (EXISTS, FORALL, Atom, Const, Eq, Exists, Forall, Formula,
-                     And, Or, Not, Implies, Iff, PrenexForm, Term, Var,
-                     Vocabulary)
+from .syntax import (FORALL, Atom, Eq, Exists, Forall, Formula, And, Or, Not,
+                     Implies, Iff, PrenexForm, Term, Var, Vocabulary)
 
 DEFAULT_ENUM_CAP = 10_000_000
 

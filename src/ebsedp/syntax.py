@@ -3,8 +3,8 @@ equivalence-preserving normalization to prenex CNF."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Mapping, Set, Tuple
 
 from .errors import CapExceeded
 

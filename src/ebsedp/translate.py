@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
 from .syntax import (DEFAULT_CLAUSE_CAP, EXISTS, FORALL, And, Atom, Eq, Exists,

@@ -255,7 +255,7 @@ def test_criterion_7_spectrum_synthesis():
     _report(7, True, "spectra {2} and {3,4,5} realized exactly at nMax=5")
 
 
-# -- 8: engine cross-checks -------------------------------------------------
+# -- 8: solver cross-checks -------------------------------------------------
 
 def _truth_table_sat(cnf):
     vars_ = sorted({abs(l) for cl in cnf for l in cl})
