@@ -12,8 +12,8 @@ from .edp import BoundReport
 from .errors import CapExceeded
 from .groundsat import (DEFAULT_NODE_CAP, AtomKey, AtomTable, GroundLiteral,
                         PConst, all_models, dpll_solve, ground_fixed_universe,
-                        ground_over_domain, literal_triples, p_and, p_not, p_or,
-                        tseitin)
+                        ground_flat, ground_over_domain, literal_triples,
+                        p_and, p_not, p_or, tseitin)
 from .structures import (FiniteStructure, count_structures,
                          enumerate_structures, evaluate)
 from .syntax import FORALL, Const, PrenexForm, Term, Vocabulary
@@ -108,11 +108,11 @@ def _model_to_structure(pf: PrenexForm, n: int, table: AtomTable,
                         assignment: Mapping[int, bool],
                         const_values: Mapping[str, int],
                         extra: Iterable[AtomKey] = ()) -> FiniteStructure:
-    """The structure whose true atoms are those of table true in assignment,
-    plus the atoms in extra."""
+    """The structure whose true atoms are the predicate atoms of table true
+    in assignment, plus the atoms in extra."""
     interp: Dict[str, set] = {name: set() for name, _ in pf.vocabulary.predicates}
     for atom_id, (pred, args) in table.items():
-        if pred != "=" and assignment.get(atom_id, False):
+        if pred in interp and assignment.get(atom_id, False):
             interp[pred].add(args)
     for pred, args in extra:
         interp[pred].add(args)
@@ -124,23 +124,25 @@ def _model_to_structure(pf: PrenexForm, n: int, table: AtomTable,
 def _sat_at_size(pf: PrenexForm, n: int,
                  node_cap: int = DEFAULT_NODE_CAP) -> Optional[FiniteStructure]:
     """A model of pf with universe exactly {0..n-1}, or None."""
-    for consts in _const_valuations(pf.vocabulary, n):
-        prop, table = ground_fixed_universe(pf, n, const_values=consts,
-                                            node_cap=node_cap)
-        assignment = dpll_solve(tseitin(prop, table))
-        if assignment is None:
-            continue
-        M = _model_to_structure(pf, n, table, assignment, consts)
-        if not evaluate(M, pf):
-            raise AssertionError("grounding returned an unverifiable model")
-        return M
-    return None
+    cnf, table = ground_flat(pf, n, node_cap)
+    assignment = dpll_solve(cnf)
+    if assignment is None:
+        return None
+    consts = {c: next(d for d in range(n)
+                      if assignment[table.lookup((Const(c), (d,)))])
+              for c in pf.vocabulary.constants}
+    M = _model_to_structure(pf, n, table, assignment, consts)
+    if not evaluate(M, pf):
+        raise AssertionError("grounding returned an unverifiable model")
+    return M
 
 
 def decide_sat_bounded(pf: PrenexForm, B: int,
                        node_cap: int = DEFAULT_NODE_CAP) -> SatOutcome:
     """SAT iff some structure of size ≤ max(B,1) models pf.  Complete only
-    under a bounded-model guarantee for pf (e.g. a membership bound B)."""
+    under a bounded-model guarantee for pf (e.g. a membership bound B).
+    node_cap bounds the ground literals of each size's flat grounding;
+    CapExceeded ("ground_flat literal cap") when one needs more."""
     if B < 0:
         raise ValueError("bound must be nonnegative")
     if not pf.is_sentence():
@@ -246,7 +248,9 @@ def interleaved_sat(pf: PrenexForm,
                     budget: Tuple[int, int, int]) -> SatOutcome:
     """Alternate finite-model search at growing sizes with Herbrand-style
     refutation search at growing term depths; budget = (max model size, max
-    ground-term depth, max steps).  UNKNOWN absorbs every exhaustion."""
+    ground-term depth, max steps).  Steps cap the ground literals of each
+    model-search size and the ground clauses and terms of each refutation
+    depth.  UNKNOWN absorbs every exhaustion."""
     n_max, depth_max, step_max = budget
     sizes_tried = depth_reached = 0
     for stage in range(max(n_max, depth_max + 1)):
@@ -277,6 +281,9 @@ def interleaved_sat(pf: PrenexForm,
 
 def spectrum(pf: PrenexForm, nMax: int,
              node_cap: int = DEFAULT_NODE_CAP) -> SpectrumResult:
+    """Which sizes 1..nMax have a model, with one witness per size.
+    node_cap bounds the ground literals of each size's flat grounding;
+    CapExceeded ("ground_flat literal cap") when one needs more."""
     if nMax < 1:
         raise ValueError("nMax must be positive")
     realizable: List[bool] = []

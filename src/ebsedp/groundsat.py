@@ -1,5 +1,7 @@
-"""Propositional layer: fixed-universe grounding, Tseitin conversion, DPLL,
-model enumeration, Herbrand-style BSR grounding, and DIMACS export."""
+"""Propositional layer: flat (MACE-style) grounding straight to CNF for
+model search, fixed-universe grounding to a formula tree with Tseitin
+conversion for equivalence checks and model enumeration, DPLL, Herbrand-style
+BSR grounding, and DIMACS export."""
 
 from __future__ import annotations
 
@@ -196,6 +198,109 @@ def ground_fixed_universe(pf: PrenexForm, n: int,
         return p_and(parts) if q == FORALL else p_or(parts)
 
     return expand(0, {}), table
+
+
+# ---------------------------------------------------------------------------
+# Flat grounding (MACE-style: Claessen & Sörensson 2003; McCune 2003)
+
+def ground_flat(pf: PrenexForm, n: int,
+                node_cap: int = DEFAULT_NODE_CAP) -> Tuple[GroundCnf, AtomTable]:
+    """An equisatisfiable CNF for a PCNF sentence over the universe
+    {0..n-1}, grounded clause by clause with no formula tree.
+
+    Every predicate atom is registered first, in vocabulary order and
+    argument tuples ascending, so ids 1..A are exactly the predicate atoms.
+    An existential v whose preceding universals are D becomes a Skolem
+    table of selector atoms (Var(v), ē + (d,)), "v is d at ē", with one
+    at-least-one clause per ē ∈ nᴰ; each constant c is a 0-ary table
+    (Const(c), (d,)) with exactly-one clauses.  A matrix clause is grounded
+    over only the universals it mentions and the D of each symbol it
+    selects, guarded by one ¬selector per existential or constant, and
+    ground equalities fold.  node_cap bounds the literals emitted."""
+    if n < 1:
+        raise ValueError("universe must be nonempty")
+    if not pf.is_sentence():
+        raise ValueError("grounding requires a sentence")
+    table = AtomTable()
+    start: Dict[object, int] = {}  # symbol -> id of its first atom, minus 1
+    for name, arity in pf.vocabulary.predicates:
+        start[name] = len(table)
+        for args in itertools.product(range(n), repeat=arity):
+            table.id_of((name, args))
+
+    clause_terms = [{t for lit in clause for t in
+                     ((lit.atom.left, lit.atom.right)
+                      if isinstance(lit.atom, Eq) else lit.atom.args)}
+                    for clause in pf.matrix]
+    mentioned = set().union(*clause_terms)
+    deps: Dict[Term, Tuple[str, ...]] = {Const(c): () for c in pf.vocabulary.constants}
+    universals: List[str] = []
+    for q, v in pf.prefix:
+        if q == FORALL:
+            universals.append(v)
+        elif Var(v) in mentioned:
+            deps[Var(v)] = tuple(universals)
+    cnf: GroundCnf = []
+    emitted = [0]
+
+    def charge(literals: int) -> None:
+        emitted[0] += literals
+        if emitted[0] > node_cap:
+            raise CapExceeded("ground_flat literal cap", emitted[0], node_cap)
+
+    for sym, dep in deps.items():
+        start[sym] = first = len(table)
+        for e in itertools.product(range(n), repeat=len(dep)):
+            for d in range(n):
+                table.id_of((sym, e + (d,)))
+        rows = range(first + 1, len(table) + 1, n)
+        charge(len(rows) * (n + (n * (n - 1) if isinstance(sym, Const) else 0)))
+        for row in rows:
+            cnf.append(list(range(row, row + n)))
+            if isinstance(sym, Const):  # at most one value
+                cnf.extend([-a, -b] for a, b in
+                           itertools.combinations(range(row, row + n), 2))
+
+    def column(base: int, weights: Sequence[int]) -> List[int]:
+        # base + Σ weights[i]·values[i] for every values ∈ nˢ, in product order
+        col = [base]
+        for w in weights:
+            steps = [w * v for v in range(n)]
+            col = [x + s for x in col for s in steps]
+        return col
+
+    for clause, terms in zip(pf.matrix, clause_terms):
+        chosen = [s for s in deps if s in terms]
+        need = {t.name for t in terms if isinstance(t, Var) and t not in deps}
+        need.update(u for s in chosen for u in deps[s])
+        # one slot per universal in prefix order, then one per chosen symbol
+        slots = [Var(u) for u in universals if u in need] + chosen
+        slot = {t: i for i, t in enumerate(slots)}
+
+        def weights(args: Sequence[Term], sign: int) -> List[int]:
+            # the rank of the argument tuple, as a linear form in the slots
+            w = [0] * len(slots)
+            for j, t in enumerate(reversed(args)):
+                w[slot[t]] += sign * n ** j
+            return w
+
+        keep = [True] * n ** len(slots)
+        for lit in clause:
+            if isinstance(lit.atom, Eq):  # keep instances where it is false
+                w = weights([lit.atom.left], 1)
+                w[slot[lit.atom.right]] -= 1
+                keep = [k and (d != 0) == lit.positive
+                        for k, d in zip(keep, column(0, w))]
+        # (sign, predicate or selected symbol, arguments): atoms, then guards
+        signed = [(1 if lit.positive else -1, lit.atom.predicate, lit.atom.args)
+                  for lit in clause if not isinstance(lit.atom, Eq)]
+        signed += [(-1, s, [Var(u) for u in deps[s]] + [s]) for s in chosen]
+        charge(sum(keep) * len(signed))
+        cols = [column(sign * (start[sym] + 1), weights(args, sign))
+                for sign, sym, args in signed]
+        rows = zip(*cols) if cols else itertools.repeat((), len(keep))
+        cnf.extend(map(list, itertools.compress(rows, keep)))
+    return cnf, table
 
 
 # ---------------------------------------------------------------------------

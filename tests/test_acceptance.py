@@ -14,7 +14,7 @@ from ebsedp.analysis import (SAT, _all_structure_models, bounded_equiv,
 from ebsedp.bmc import TransitionSystem, bmc_solve
 from ebsedp.edp import classify, edp_bound, edp_check
 from ebsedp.groundsat import (AtomTable, bsr_ground, dpll_solve,
-                              ground_fixed_universe, tseitin)
+                              ground_fixed_universe, ground_flat, tseitin)
 from ebsedp.parse import parse_problem
 from ebsedp.repair import edp_core, edp_extend
 from ebsedp.structures import (FiniteStructure, count_structures,
@@ -278,6 +278,14 @@ def test_criterion_8_engine_cross_checks():
                 continue
             assert (dpll_solve(cnf) is not None) == _truth_table_sat(cnf)
             cnfs += 1
+    flat_cnfs = 0
+    for pf in SENTENCES:
+        for n in (1, 2):
+            cnf, _ = ground_flat(pf, n, node_cap=NODE_CAP)
+            if len({abs(l) for cl in cnf for l in cl}) > 16:
+                continue
+            assert (dpll_solve(cnf) is not None) == _truth_table_sat(cnf)
+            flat_cnfs += 1
     pairs = 0
     for pf in SENTENCES:
         for n in (1, 2, 3):
@@ -296,8 +304,9 @@ def test_criterion_8_engine_cross_checks():
         sat = dpll_solve(cnf) is not None
         assert sat == (decide_sat_bounded(pf, max(bsr_exists_count(pf), 1))
                        .verdict == SAT)
-    _report(8, True, f"{cnfs} CNFs vs truth tables; {pairs} model-set "
-                     "matches; 10 BSR grounding verdicts agree")
+    _report(8, True, f"{cnfs} Tseitin and {flat_cnfs} flat CNFs vs truth "
+                     f"tables; {pairs} model-set matches; 10 BSR grounding "
+                     "verdicts agree")
 
 
 # -- 9: lattice and spectrum-shape properties -------------------------------

@@ -93,6 +93,14 @@ def test_interleaved_sat_absorbs_caps():
     assert out.verdict == UNKNOWN  # every stage hits the step cap
 
 
+def test_model_search_cap_names_its_layer():
+    with pytest.raises(CapExceeded, match="ground_flat literal cap"):
+        spectrum(EXAMPLE_C, 5, node_cap=10)
+    # size 1 needs 9 ground literals: model search hits the cap at every size
+    out = interleaved_sat(EXAMPLE_C, (5, 0, 8))
+    assert out.verdict == UNKNOWN and out.effort["sizes_tried"] == 0
+
+
 # -- spectra ---------------------------------------------------------------
 
 def test_spectrum_basic():
@@ -108,9 +116,10 @@ def test_spectrum_basic():
 def test_spectrum_gap():
     # a non-interval spectrum: perfect matchings exist at even sizes only
     assert spectrum(EVEN_MATCHING, 6, node_cap=10_000_000).sizes() == (2, 4, 6)
-    # the alternating-order variant agrees on the sizes that fit the suite
-    # budget (its size-5 refutation alone takes ~30s)
+    assert spectrum(EVEN_MATCHING, 7).sizes() == (2, 4, 6)
+    # the alternating-order variant agrees, odd-size refutations included
     assert (spectrum(EVEN_ORDER, 4, node_cap=10_000_000).sizes() == (2, 4))
+    assert spectrum(EVEN_ORDER, 6).sizes() == (2, 4, 6)
 
 
 def test_spectrum_validation():

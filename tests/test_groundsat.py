@@ -8,14 +8,14 @@ import reference_dpll
 from ebsedp.errors import CapExceeded
 from ebsedp.groundsat import (AtomTable, PAnd, PConst, PLit, PNot, POr,
                               all_models, bsr_ground, dpll_solve,
-                              export_dimacs, ground_fixed_universe, p_and,
-                              p_not, p_or, tseitin)
-from ebsedp.structures import FiniteStructure, evaluate
-from ebsedp.syntax import (Atom, Eq, Exists, Forall, Not, Or, Var, Vocabulary,
-                           to_pcnf)
+                              export_dimacs, ground_fixed_universe,
+                              ground_flat, p_and, p_not, p_or, tseitin)
+from ebsedp.structures import FiniteStructure, enumerate_structures, evaluate
+from ebsedp.syntax import (And, Atom, Const, Eq, Exists, Forall, Not, Or, Var,
+                           Vocabulary, to_pcnf)
 
 from corpus import (CONTRADICTION, EQ_CONGRUENCE, EQ_TRANSITIVITY, EXAMPLE_C,
-                    TOTAL_RELATION, TWO_ELEMENTS, VOC_P1, VOC_P2)
+                    TOTAL_RELATION, TWO_ELEMENTS, VOC_P1, VOC_P2, VOC_P2_C)
 
 
 # -- truth-table oracle for CNF sat ----------------------------------------
@@ -249,6 +249,84 @@ def test_ground_missing_constant_value():
         ground_fixed_universe(pf, 2)
     prop, _ = ground_fixed_universe(pf, 2, const_values={"c": 0})
     assert dpll_solve(tseitin(prop)) is not None
+
+
+# -- flat grounding --------------------------------------------------------
+
+# every element has a P-successor other than c: sizes 2 and up
+SUCC_NOT_C = to_pcnf(Forall("x", Exists("y", And((
+    Atom("P", (Var("x"), Var("y"))), Not(Eq(Var("y"), Const("c"))))))), VOC_P2_C)
+
+
+def brute_force_sat(pf, n):
+    return any(evaluate(M, pf) for M in enumerate_structures(pf.vocabulary, n))
+
+
+def test_ground_flat_requires_sentence_and_universe():
+    with pytest.raises(ValueError):
+        ground_flat(TOTAL_RELATION, 0)
+    pf = to_pcnf(Atom("P", (Var("x"), Var("x"))), VOC_P2, ("x",))
+    with pytest.raises(ValueError):
+        ground_flat(pf, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ground_flat_sat_matches_semantics(n):
+    for pf in (TOTAL_RELATION, CONTRADICTION, TWO_ELEMENTS, EXAMPLE_C,
+               SUCC_NOT_C):
+        cnf, _ = ground_flat(pf, n)
+        assert (dpll_solve(cnf) is not None) == brute_force_sat(pf, n), (pf, n)
+
+
+def random_sentence(rng):
+    names = ["x", "y", "z"]
+    terms = [Var(v) for v in names] + [Const("c")]
+
+    def lit():
+        t, u = rng.choice(terms), rng.choice(terms)
+        a = Eq(t, u) if rng.random() < 0.3 else Atom("P", (t, u))
+        return Not(a) if rng.random() < 0.5 else a
+
+    f = And(tuple(Or(tuple(lit() for _ in range(rng.randint(1, 3))))
+                  for _ in range(rng.randint(1, 3))))
+    for v in reversed(names):
+        f = (Forall if rng.random() < 0.5 else Exists)(v, f)
+    return to_pcnf(f, VOC_P2_C)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+def test_ground_flat_matches_brute_force(seed, n):
+    pf = random_sentence(random.Random(seed))
+    cnf, table = ground_flat(pf, n)
+    model = dpll_solve(cnf)
+    assert (model is not None) == brute_force_sat(pf, n), pf
+    if model is not None:
+        # the predicate atoms and the constant's selectors alone are a model
+        c = next(d for d in range(n) if model[table.lookup((Const("c"), (d,)))])
+        P = frozenset(args for i, (pred, args) in table.items()
+                      if pred == "P" and model.get(i, False))
+        assert evaluate(FiniteStructure(VOC_P2_C, n, {"P": P}, {"c": c}), pf)
+
+
+def test_ground_flat_predicate_atoms_first():
+    n = 2
+    _, table = ground_flat(EXAMPLE_C, n)
+    want = [(name, args) for name, arity in EXAMPLE_C.vocabulary.predicates
+            for args in itertools.product(range(n), repeat=arity)]
+    keys = [key for _, key in table.items()]
+    assert keys[:len(want)] == want
+    assert all(not isinstance(pred, str) for pred, _ in keys[len(want):])
+    # a constant's selectors: one value exactly
+    cnf, table = ground_flat(SUCC_NOT_C, 3)
+    sel = [table.lookup((Const("c"), (d,))) for d in range(3)]
+    assert sel in cnf
+    assert all([-a, -b] in cnf for a, b in itertools.combinations(sel, 2))
+
+
+def test_ground_flat_literal_cap():
+    with pytest.raises(CapExceeded, match="ground_flat literal cap"):
+        ground_flat(EXAMPLE_C, 5, node_cap=10)
 
 
 # -- all_models ------------------------------------------------------------
