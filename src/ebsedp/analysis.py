@@ -4,9 +4,11 @@ bounded-submodel oracle, and bounded search for the least translation bound."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Mapping, Optional, Set, Tuple)
 
 from .edp import BoundReport
 from .errors import CapExceeded
@@ -330,29 +332,52 @@ def bounded_equiv(f: PrenexForm, g: PrenexForm, nCap: int,
 # ---------------------------------------------------------------------------
 # Extensible bounded-submodel oracle
 
-def _all_structure_models(pf: PrenexForm, n: int,
-                          node_cap: int) -> Iterator[FiniteStructure]:
-    """Every model of pf with universe {0..n-1}, deterministically."""
+# a model's σ-reduct: (n, constant values, true σ-atoms)
+Reduct = Tuple[int, Tuple[Tuple[str, int], ...], FrozenSet[AtomKey]]
+
+
+def _model_stream(pf: PrenexForm, n: int, node_cap: int,
+                  sigma: Iterable[str] = ()
+                  ) -> Iterator[Tuple[Reduct, Callable[[], FiniteStructure]]]:
+    """Every model of pf with universe {0..n-1}, deterministically, as a
+    (σ-reduct, builder) pair: the reduct is read straight from the
+    solver's assignment, and builder() makes the model's structure."""
+    keep = set(sigma)
     for consts in _const_valuations(pf.vocabulary, n):
+        values = tuple(sorted(consts.items()))
         prop, table = ground_fixed_universe(pf, n, const_values=consts,
                                             node_cap=node_cap)
         if isinstance(prop, PConst):
             if prop.value:
                 for M in enumerate_structures(pf.vocabulary, n):
                     if M.constant_values == consts:
-                        yield M
+                        true_sigma = frozenset((p, t) for p in keep
+                                               for t in M.interpretation[p])
+                        yield (n, values, true_sigma), lambda M=M: M
             continue
         cnf = tseitin(prop, table)
         atom_ids = [i for i, _ in table.items()]
+        sigma_atoms = [(i, key) for i, key in table.items() if key[0] in keep]
         # atoms never mentioned in the grounding are true don't-cares:
         # expand them both ways so the stream is the full model set
         free_keys = [(name, args) for name, arity in pf.vocabulary.predicates
                      for args in itertools.product(range(n), repeat=arity)
                      if table.lookup((name, args)) is None]
         for assignment in all_models(cnf, atom_ids):
+            true_sigma = [key for i, key in sigma_atoms if assignment[i]]
             for bits in itertools.product((False, True), repeat=len(free_keys)):
-                yield _model_to_structure(pf, n, table, assignment, consts,
-                                          itertools.compress(free_keys, bits))
+                extra = list(itertools.compress(free_keys, bits))
+                reduct = (n, values, frozenset(
+                    true_sigma + [key for key in extra if key[0] in keep]))
+                yield reduct, functools.partial(
+                    _model_to_structure, pf, n, table, assignment, consts, extra)
+
+
+def _all_structure_models(pf: PrenexForm, n: int,
+                          node_cap: int) -> Iterator[FiniteStructure]:
+    """Every model of pf with universe {0..n-1}, deterministically."""
+    for _, build in _model_stream(pf, n, node_cap):
+        yield build()
 
 
 def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,
@@ -363,7 +388,16 @@ def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,
     (containing the constant values) such that every extension M2 with
     M1 ⊆ M2 ⊆ M admits a completion M2′ on M2's universe that agrees with
     M2 on the σ-predicates and models pf.  Quantifier order is fixed:
-    the core may depend on M but not on M2."""
+    the core may depend on M but not on M2.
+
+    The test reads M only through its σ-reduct (universe size, constant
+    values, σ-interpretations): the candidate extensions and cores depend
+    on the size and the constant values, and each completion query on the
+    σ-atoms inside its extension.  So each reduct is tested once, at its
+    first model; a later model with a reduct that already has a good core
+    is counted toward models_checked and model_cap and is not built.  A
+    failing reduct returns at its first model, so the verdict, the failing
+    model and the evidence are those of testing every model in turn."""
     sigma = tuple(sorted(set(sigma)))
     for p in sigma:
         if not pf.vocabulary.is_predicate(p):
@@ -396,12 +430,16 @@ def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,
         query_cache[key] = ok
         return ok
 
+    passed: Set[Reduct] = set()
     checked = 0
     for n in range(1, nMax + 1):
-        for M in _all_structure_models(pf, n, node_cap):
+        for reduct, build in _model_stream(pf, n, node_cap, sigma):
             checked += 1
             if checked > model_cap:
                 raise CapExceeded("oracle model cap", checked, model_cap)
+            if reduct in passed:
+                continue
+            M = build()
             const_vals = set(M.constant_values.values())
             universe = range(M.n)
             # all candidate extensions, smallest first
@@ -421,6 +459,7 @@ def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,
                                   fail_model=M,
                                   fail_extension=failing[0] if failing else None,
                                   core_evidence=evidence)
+            passed.add(reduct)
     return EbsVerdict(True, sigma, B, nMax, checked)
 
 

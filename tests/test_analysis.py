@@ -8,7 +8,8 @@ from ebsedp.analysis import (NCAP_NOTE, SAT, UNKNOWN, UNSAT, SatOutcome,
                              interleaved_sat, spectrum)
 from ebsedp.edp import classify, edp_bound
 from ebsedp.errors import CapExceeded
-from ebsedp.structures import evaluate
+from ebsedp.structures import (enumerate_structures, evaluate,
+                               generated_substructure, restrict_eq)
 from ebsedp.syntax import (And, Atom, Eq, Exists, Forall, Not, Or, Var,
                            Vocabulary, to_pcnf)
 
@@ -193,8 +194,64 @@ def test_ebs_oracle_fails_below_true_bound():
 def test_ebs_oracle_caps_and_validation():
     with pytest.raises(ValueError):
         ebs_oracle(TOTAL_RELATION, ("Nope",), 2, 2)
-    with pytest.raises(CapExceeded):
+    # the sixth model's reduct has already passed: skipped, still counted
+    with pytest.raises(CapExceeded) as err:
         ebs_oracle(TOTAL_RELATION, (), 2, 3, model_cap=5)
+    assert (err.value.needed, err.value.cap) == (5 + 1, 5)
+    # a cap equal to the model count (1 + 9 + 343) is not exceeded
+    exact = ebs_oracle(TOTAL_RELATION, (), 2, 3, model_cap=353)
+    assert exact.passed and exact.models_checked == 353
+
+
+def _brute_ebs(pf, sigma, B, nMax):
+    """The oracle's verdict from exhaustive enumeration alone: the models
+    of size <= nMax, and those with no good core of size <= B."""
+    voc = pf.vocabulary
+
+    def completable(M2):
+        return any(restrict_eq(M2, C, sigma)
+                   and C.constant_values == M2.constant_values
+                   and evaluate(C, pf)
+                   for C in enumerate_structures(voc, M2.n))
+
+    def good_core(M, core):
+        rest = [e for e in range(M.n) if e not in core]
+        return all(completable(generated_substructure(M, core + extra)[0])
+                   for k in range(len(rest) + 1)
+                   for extra in itertools.combinations(rest, k))
+
+    models, bad = [], []
+    for n in range(1, nMax + 1):
+        for M in enumerate_structures(voc, n):
+            if not evaluate(M, pf):
+                continue
+            models.append(M)
+            consts = set(M.constant_values.values())
+            cores = [c for k in range(1, min(B, n) + 1)
+                     for c in itertools.combinations(range(n), k)
+                     if consts <= set(c)]
+            if not any(good_core(M, c) for c in cores):
+                bad.append(M.to_json())
+    return models, bad
+
+
+@pytest.mark.parametrize("pf", [TOTAL_RELATION, TWO_ELEMENTS, EXAMPLE_C],
+                         ids=["total", "two", "example_c"])
+def test_ebs_oracle_matches_brute_force(pf):
+    preds = [p for p, _ in pf.vocabulary.predicates]
+    for k in range(len(preds) + 1):
+        for sigma in itertools.combinations(preds, k):
+            for B in (1, 2):
+                for nMax in (1, 2):
+                    got = ebs_oracle(pf, sigma, B, nMax)
+                    models, bad = _brute_ebs(pf, sigma, B, nMax)
+                    case = (sigma, B, nMax)
+                    assert got.passed == (not bad), case
+                    if got.passed:
+                        assert got.models_checked == len(models), case
+                    else:
+                        assert evaluate(got.fail_model, pf), case
+                        assert got.fail_model.to_json() in bad, case
 
 
 # -- bound search ----------------------------------------------------------
