@@ -12,10 +12,10 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
 
 from .edp import BoundReport
 from .errors import CapExceeded
-from .groundsat import (DEFAULT_NODE_CAP, AtomKey, AtomTable, GroundLiteral,
-                        PConst, all_models, dpll_solve, ground_fixed_universe,
-                        ground_flat, ground_over_domain, literal_triples,
-                        p_and, p_not, p_or, tseitin)
+from .groundsat import (DEFAULT_NODE_CAP, AtomKey, AtomTable, FlatPlan,
+                        GroundLiteral, PConst, all_models, dpll_solve,
+                        ground_fixed_universe, ground_over_domain,
+                        literal_triples, p_and, p_not, p_or, tseitin)
 from .structures import (FiniteStructure, count_structures,
                          enumerate_structures, evaluate)
 from .syntax import FORALL, Const, PrenexForm, Term, Vocabulary
@@ -123,10 +123,12 @@ def _model_to_structure(pf: PrenexForm, n: int, table: AtomTable,
                            dict(const_values))
 
 
-def _sat_at_size(pf: PrenexForm, n: int,
+def _sat_at_size(plan: FlatPlan, n: int,
                  node_cap: int = DEFAULT_NODE_CAP) -> Optional[FiniteStructure]:
-    """A model of pf with universe exactly {0..n-1}, or None."""
-    cnf, table = ground_flat(pf, n, node_cap)
+    """A model of the plan's sentence with universe exactly {0..n-1}, or
+    None."""
+    pf = plan.pf
+    cnf, table = plan.ground(n, node_cap)
     assignment = dpll_solve(cnf)
     if assignment is None:
         return None
@@ -149,10 +151,11 @@ def decide_sat_bounded(pf: PrenexForm, B: int,
         raise ValueError("bound must be nonnegative")
     if not pf.is_sentence():
         raise ValueError("satisfiability is for sentences")
+    plan = FlatPlan(pf)
     sizes = 0
     for n in range(1, max(B, 1) + 1):
         sizes += 1
-        M = _sat_at_size(pf, n, node_cap)
+        M = _sat_at_size(plan, n, node_cap)
         if M is not None:
             return SatOutcome(SAT, M, {"sizes_tried": sizes})
     return SatOutcome(UNSAT, None, {"sizes_tried": sizes})
@@ -254,11 +257,14 @@ def interleaved_sat(pf: PrenexForm,
     model-search size and the ground clauses and terms of each refutation
     depth.  UNKNOWN absorbs every exhaustion."""
     n_max, depth_max, step_max = budget
+    # only model search needs the plan, and only it requires a sentence
+    plan = FlatPlan(pf) if n_max > 0 else None
     sizes_tried = depth_reached = 0
     for stage in range(max(n_max, depth_max + 1)):
         if stage < n_max:
             try:
-                M = _sat_at_size(pf, stage + 1, node_cap=step_max)
+                M = _sat_at_size(plan, stage + 1,  # type: ignore[arg-type]
+                                 node_cap=step_max)
                 sizes_tried += 1
                 if M is not None:
                     return SatOutcome(SAT, M, {"sizes_tried": sizes_tried,
@@ -288,10 +294,11 @@ def spectrum(pf: PrenexForm, nMax: int,
     CapExceeded ("ground_flat literal cap") when one needs more."""
     if nMax < 1:
         raise ValueError("nMax must be positive")
+    plan = FlatPlan(pf)
     realizable: List[bool] = []
     witnesses: Dict[int, FiniteStructure] = {}
     for n in range(1, nMax + 1):
-        M = _sat_at_size(pf, n, node_cap)
+        M = _sat_at_size(plan, n, node_cap)
         realizable.append(M is not None)
         if M is not None:
             witnesses[n] = M

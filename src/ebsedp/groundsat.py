@@ -1,11 +1,13 @@
 """Propositional layer: flat (MACE-style) grounding straight to CNF for
-model search, fixed-universe grounding to a formula tree with Tseitin
-conversion for equivalence checks and model enumeration, DPLL, Herbrand-style
-BSR grounding, and DIMACS export."""
+model search, compiled once per sentence into slot-indexed clause plans and
+emitted per universe size by column arithmetic; fixed-universe grounding to
+a formula tree with Tseitin conversion for equivalence checks and model
+enumeration; DPLL; Herbrand-style BSR grounding; and DIMACS export."""
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -203,104 +205,198 @@ def ground_fixed_universe(pf: PrenexForm, n: int,
 # ---------------------------------------------------------------------------
 # Flat grounding (MACE-style: Claessen & Sörensson 2003; McCune 2003)
 
+class FlatPlan:
+    """The flat grounding of one PCNF sentence, compiled once for every
+    universe size; ground(n, node_cap) emits the CNF for size n.
+
+    Symbols are numbered predicates first, in vocabulary order, then the
+    tables: each constant c is a 0-ary table (Const(c), (d,)) with
+    exactly-one clauses, and each existential v whose preceding universals
+    are D is a Skolem table of selector atoms (Var(v), ē + (d,)), "v is d
+    at ē", with one at-least-one clause per ē ∈ nᴰ.  A matrix clause
+    becomes a plan over integer slots: the universals it mentions, in
+    prefix order, then the tables it selects, each ranging over {0..n-1};
+    its instances are the slot tuples in lexicographic order.  A
+    disequality literal ¬(s=t) keeps only instances with s=t, so the later
+    slot is merged into the earlier one, which keeps that order; an
+    equality literal s=t keeps only instances with s≠t.  The plan's
+    literals are the clause's predicate atoms, then one ¬selector guard
+    per table it selects.  A literal is (symbol, slot count, sign,
+    argument slots...); the clauses that share one share its id column."""
+
+    def __init__(self, pf: PrenexForm):
+        if not pf.is_sentence():
+            raise ValueError("grounding requires a sentence")
+        self.pf = pf
+        self.predicates = pf.vocabulary.predicates
+        symbol: Dict[object, int] = {
+            name: i for i, (name, _) in enumerate(self.predicates)}
+        # (sign, predicate symbol or None for "=", argument terms), a
+        # variable keyed by its name so that no dataclass is hashed
+        matrix = [[_plan_literal(lit, symbol) for lit in clause]
+                  for clause in pf.matrix]
+        mentioned = {k for clause in matrix for _, _, ks in clause for k in ks}
+        deps: Dict[object, Tuple[str, ...]] = {
+            Const(c): () for c in pf.vocabulary.constants}
+        universals: List[str] = []
+        for q, v in pf.prefix:
+            if q == FORALL:
+                universals.append(v)
+            elif v in mentioned:
+                deps[v] = tuple(universals)
+        # (atom key symbol, number of universals it depends on, is constant)
+        self.tables = [(Var(k) if isinstance(k, str) else k, len(dep),
+                        not isinstance(k, str)) for k, dep in deps.items()]
+        guard = {}  # a table's selector arguments: its universals, itself
+        for k, dep in deps.items():
+            symbol[k] = len(symbol)
+            guard[k] = dep + (k,)
+        literals: Dict[Tuple[int, ...], int] = {}  # literal -> its number
+        # (slot count, slot pairs that must differ, (how many slots those
+        #  pairs mention, the pairs renumbered over only those slots),
+        #  literal numbers)
+        self.clauses: List[Tuple[int, Tuple[Tuple[int, int], ...],
+                                 Tuple[int, Tuple[Tuple[int, int], ...]],
+                                 List[int]]] = []
+        for clause in matrix:
+            terms = set().union(*[ks for _, _, ks in clause])
+            chosen = [k for k in deps if k in terms]
+            need = terms.difference(deps)
+            need.update(*[deps[k] for k in chosen])
+            slots: List[object] = [u for u in universals if u in need]
+            slots += chosen
+            index = {k: i for i, k in enumerate(slots)}
+            eqs = [(sign, ks) for sign, sym, ks in clause if sym is None]
+            rep = list(range(len(slots)))  # the earliest slot equal to each
+            for sign, (s, t) in eqs:
+                if sign < 0:
+                    a, b = sorted((rep[index[s]], rep[index[t]]))
+                    rep = [a if r == b else r for r in rep]
+            free = sorted(set(rep))
+            if len(free) < len(slots):
+                index = {k: free.index(rep[i]) for k, i in index.items()}
+            diffs = tuple(sorted({tuple(sorted((index[s], index[t])))
+                                  for sign, (s, t) in eqs if sign > 0}))
+            seen = sorted({s for pair in diffs for s in pair})
+            local = tuple((seen.index(a), seen.index(b)) for a, b in diffs)
+            width, at = len(free), index.__getitem__
+            signed = [(sign, sym, ks) for sign, sym, ks in clause
+                      if sym is not None]
+            signed += [(-1, symbol[k], guard[k]) for k in chosen]
+            lits = [literals.setdefault((sym, width, sign, *map(at, ks)),
+                                        len(literals))
+                    for sign, sym, ks in signed]
+            self.clauses.append((width, diffs, (len(seen), local), lits))
+        self.literals = list(literals)
+
+    def ground(self, n: int,
+               node_cap: int = DEFAULT_NODE_CAP) -> Tuple[GroundCnf, AtomTable]:
+        """The CNF over the universe {0..n-1} and its atom table.  Every
+        predicate atom is registered first, argument tuples ascending, so
+        ids 1..A are exactly the predicate atoms.  node_cap bounds the
+        literals emitted; each charge is made before its lists are built."""
+        if n < 1:
+            raise ValueError("universe must be nonempty")
+        table = AtomTable()
+        start: List[int] = []  # symbol -> id of its first atom, minus 1
+        for name, arity in self.predicates:
+            start.append(len(table))
+            for args in itertools.product(range(n), repeat=arity):
+                table.id_of((name, args))
+        cnf: GroundCnf = []
+        emitted = 0
+
+        def charge(literals: int) -> None:
+            nonlocal emitted
+            emitted += literals
+            if emitted > node_cap:
+                raise CapExceeded("ground_flat literal cap", emitted, node_cap)
+
+        for sym, arity, is_const in self.tables:
+            rows = n ** arity
+            charge(rows * (n + (n * (n - 1) if is_const else 0)))
+            start.append(len(table))
+            for args in itertools.product(range(n), repeat=arity + 1):
+                table.id_of((sym, args))
+            for row in range(start[-1] + 1, len(table) + 1, n):
+                cnf.append(list(range(row, row + n)))
+                if is_const:  # at most one value
+                    cnf.extend([-a, -b] for a, b in
+                               itertools.combinations(range(row, row + n), 2))
+
+        # columns over the nʳ instances of r slots, each built once
+        digits: Dict[Tuple[int, int, int], List[int]] = {}
+        columns: List[Optional[List[int]]] = [None] * len(self.literals)
+        masks: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], List[bool]] = {}
+
+        def digit(r: int, i: int, w: int = 1) -> List[int]:
+            # w · (the value of slot i)
+            key = (r, i, w)
+            if key not in digits:
+                digits[key] = list(itertools.chain.from_iterable(
+                    itertools.repeat(w * d, n ** (r - 1 - i))
+                    for d in range(n))) * n ** i
+            return digits[key]
+
+        def column(lit: int) -> List[int]:
+            # the literal's signed atom id: its symbol's first id plus the
+            # values of the argument slots read as a base-n numeral
+            sym, r, sign, *args = self.literals[lit]
+            weights: Dict[int, int] = {}
+            w = sign
+            for s in reversed(args):
+                weights[s] = weights.get(s, 0) + w
+                w *= n
+            col = [sign * (start[sym] + 1)] * n ** r
+            for s, w in weights.items():
+                col = list(map(operator.add, col, digit(r, s, w)))
+            columns[lit] = col
+            return col
+
+        def differ(r: int, pairs: Tuple[Tuple[int, int], ...]) -> List[bool]:
+            # whether every pair of slots differs
+            if (r, pairs) not in masks:
+                keep: Iterable[bool] = itertools.repeat(True, n ** r)
+                for a, b in pairs:
+                    keep = map(operator.and_, keep,
+                               map(operator.ne, digit(r, a), digit(r, b)))
+                masks[(r, pairs)] = list(keep)
+            return masks[(r, pairs)]
+
+        for width, diffs, (seen, local), lits in self.clauses:
+            count = n ** width
+            if diffs:  # counted over only the slots that they mention
+                count = sum(differ(seen, local)) * n ** (width - seen)
+            charge(count * len(lits))
+            if not count:
+                continue
+            cols = [columns[lit] or column(lit) for lit in lits]
+            rows = zip(*cols) if cols else itertools.repeat((), n ** width)
+            if diffs:
+                rows = itertools.compress(rows, differ(width, diffs))
+            cnf.extend(map(list, rows))
+        return cnf, table
+
+
+def _plan_literal(lit: Literal, symbol: Mapping[object, int]
+                  ) -> Tuple[int, Optional[int], List[object]]:
+    atom = lit.atom
+    if isinstance(atom, Eq):
+        sym, args = None, (atom.left, atom.right)
+    else:
+        sym, args = symbol[atom.predicate], atom.args
+    keys = [t.name if isinstance(t, Var) else t for t in args]
+    return 1 if lit.positive else -1, sym, keys
+
+
 def ground_flat(pf: PrenexForm, n: int,
                 node_cap: int = DEFAULT_NODE_CAP) -> Tuple[GroundCnf, AtomTable]:
     """An equisatisfiable CNF for a PCNF sentence over the universe
-    {0..n-1}, grounded clause by clause with no formula tree.
-
-    Every predicate atom is registered first, in vocabulary order and
-    argument tuples ascending, so ids 1..A are exactly the predicate atoms.
-    An existential v whose preceding universals are D becomes a Skolem
-    table of selector atoms (Var(v), ē + (d,)), "v is d at ē", with one
-    at-least-one clause per ē ∈ nᴰ; each constant c is a 0-ary table
-    (Const(c), (d,)) with exactly-one clauses.  A matrix clause is grounded
-    over only the universals it mentions and the D of each symbol it
-    selects, guarded by one ¬selector per existential or constant, and
-    ground equalities fold.  node_cap bounds the literals emitted."""
+    {0..n-1}, grounded clause by clause with no formula tree (see
+    FlatPlan), compiled for this one size."""
     if n < 1:
         raise ValueError("universe must be nonempty")
-    if not pf.is_sentence():
-        raise ValueError("grounding requires a sentence")
-    table = AtomTable()
-    start: Dict[object, int] = {}  # symbol -> id of its first atom, minus 1
-    for name, arity in pf.vocabulary.predicates:
-        start[name] = len(table)
-        for args in itertools.product(range(n), repeat=arity):
-            table.id_of((name, args))
-
-    clause_terms = [{t for lit in clause for t in
-                     ((lit.atom.left, lit.atom.right)
-                      if isinstance(lit.atom, Eq) else lit.atom.args)}
-                    for clause in pf.matrix]
-    mentioned = set().union(*clause_terms)
-    deps: Dict[Term, Tuple[str, ...]] = {Const(c): () for c in pf.vocabulary.constants}
-    universals: List[str] = []
-    for q, v in pf.prefix:
-        if q == FORALL:
-            universals.append(v)
-        elif Var(v) in mentioned:
-            deps[Var(v)] = tuple(universals)
-    cnf: GroundCnf = []
-    emitted = [0]
-
-    def charge(literals: int) -> None:
-        emitted[0] += literals
-        if emitted[0] > node_cap:
-            raise CapExceeded("ground_flat literal cap", emitted[0], node_cap)
-
-    for sym, dep in deps.items():
-        start[sym] = first = len(table)
-        for e in itertools.product(range(n), repeat=len(dep)):
-            for d in range(n):
-                table.id_of((sym, e + (d,)))
-        rows = range(first + 1, len(table) + 1, n)
-        charge(len(rows) * (n + (n * (n - 1) if isinstance(sym, Const) else 0)))
-        for row in rows:
-            cnf.append(list(range(row, row + n)))
-            if isinstance(sym, Const):  # at most one value
-                cnf.extend([-a, -b] for a, b in
-                           itertools.combinations(range(row, row + n), 2))
-
-    def column(base: int, weights: Sequence[int]) -> List[int]:
-        # base + Σ weights[i]·values[i] for every values ∈ nˢ, in product order
-        col = [base]
-        for w in weights:
-            steps = [w * v for v in range(n)]
-            col = [x + s for x in col for s in steps]
-        return col
-
-    for clause, terms in zip(pf.matrix, clause_terms):
-        chosen = [s for s in deps if s in terms]
-        need = {t.name for t in terms if isinstance(t, Var) and t not in deps}
-        need.update(u for s in chosen for u in deps[s])
-        # one slot per universal in prefix order, then one per chosen symbol
-        slots = [Var(u) for u in universals if u in need] + chosen
-        slot = {t: i for i, t in enumerate(slots)}
-
-        def weights(args: Sequence[Term], sign: int) -> List[int]:
-            # the rank of the argument tuple, as a linear form in the slots
-            w = [0] * len(slots)
-            for j, t in enumerate(reversed(args)):
-                w[slot[t]] += sign * n ** j
-            return w
-
-        keep = [True] * n ** len(slots)
-        for lit in clause:
-            if isinstance(lit.atom, Eq):  # keep instances where it is false
-                w = weights([lit.atom.left], 1)
-                w[slot[lit.atom.right]] -= 1
-                keep = [k and (d != 0) == lit.positive
-                        for k, d in zip(keep, column(0, w))]
-        # (sign, predicate or selected symbol, arguments): atoms, then guards
-        signed = [(1 if lit.positive else -1, lit.atom.predicate, lit.atom.args)
-                  for lit in clause if not isinstance(lit.atom, Eq)]
-        signed += [(-1, s, [Var(u) for u in deps[s]] + [s]) for s in chosen]
-        charge(sum(keep) * len(signed))
-        cols = [column(sign * (start[sym] + 1), weights(args, sign))
-                for sign, sym, args in signed]
-        rows = zip(*cols) if cols else itertools.repeat((), len(keep))
-        cnf.extend(map(list, itertools.compress(rows, keep)))
-    return cnf, table
+    return FlatPlan(pf).ground(n, node_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,24 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_dpll
 from ebsedp.errors import CapExceeded
-from ebsedp.groundsat import (AtomTable, PAnd, PConst, PLit, PNot, POr,
-                              all_models, bsr_ground, dpll_solve,
+from ebsedp.groundsat import (AtomTable, FlatPlan, PAnd, PConst, PLit, PNot,
+                              POr, all_models, bsr_ground, dpll_solve,
                               export_dimacs, ground_fixed_universe,
                               ground_flat, p_and, p_not, p_or, tseitin)
-from ebsedp.structures import FiniteStructure, enumerate_structures, evaluate
+from ebsedp.structures import (FiniteStructure, count_structures,
+                               enumerate_structures, evaluate)
 from ebsedp.syntax import (And, Atom, Const, Eq, Exists, Forall, Not, Or, Var,
                            Vocabulary, to_pcnf)
 
-from corpus import (CONTRADICTION, EQ_CONGRUENCE, EQ_TRANSITIVITY, EXAMPLE_C,
-                    TOTAL_RELATION, TWO_ELEMENTS, VOC_P1, VOC_P2, VOC_P2_C)
+from corpus import (CONTRADICTION, EDP_EMPTY, EQ_CONGRUENCE, EQ_TRANSITIVITY,
+                    EVEN_ORDER, EXAMPLE_C, TOTAL_RELATION, TWO_ELEMENTS,
+                    VOC_P1, VOC_P2, VOC_P2_C)
 
 
 # -- truth-table oracle for CNF sat ----------------------------------------
@@ -278,35 +281,96 @@ def test_ground_flat_sat_matches_semantics(n):
         assert (dpll_solve(cnf) is not None) == brute_force_sat(pf, n), (pf, n)
 
 
-def random_sentence(rng):
-    names = ["x", "y", "z"]
-    terms = [Var(v) for v in names] + [Const("c")]
+# the vocabulary random sentences draw on; each sentence declares a subset
+VOC_WIDE = Vocabulary((("P", 2), ("Q", 1), ("R", 3)), ("c", "d"))
 
-    def lit():
-        t, u = rng.choice(terms), rng.choice(terms)
-        a = Eq(t, u) if rng.random() < 0.3 else Atom("P", (t, u))
+
+def random_sentence(rng):
+    """Up to four variables under a random prefix (so Skolem tables over up
+    to three universals), one to three predicates of arity 1-3, zero to two
+    constants, and equalities between any terms, in mixed clauses and in
+    clauses of equalities alone."""
+    names = ["x", "y", "z", "w"][:rng.randint(1, 4)]
+    preds = tuple(p for p in VOC_WIDE.predicates if rng.random() < 0.6) \
+        or (rng.choice(VOC_WIDE.predicates),)
+    consts = tuple(c for c in VOC_WIDE.constants if rng.random() < 0.4)
+    voc = Vocabulary(preds, consts)
+    terms = [Var(v) for v in names] + [Const(c) for c in consts]
+
+    def lit(eq_only):
+        if eq_only or rng.random() < 0.3:
+            a = Eq(rng.choice(terms), rng.choice(terms))
+        else:
+            name, arity = rng.choice(preds)
+            a = Atom(name, tuple(rng.choice(terms) for _ in range(arity)))
         return Not(a) if rng.random() < 0.5 else a
 
-    f = And(tuple(Or(tuple(lit() for _ in range(rng.randint(1, 3))))
-                  for _ in range(rng.randint(1, 3))))
+    def clause():
+        eq_only = rng.random() < 0.15
+        return Or(tuple(lit(eq_only) for _ in range(rng.randint(1, 3))))
+
+    f = And(tuple(clause() for _ in range(rng.randint(1, 3))))
     for v in reversed(names):
         f = (Forall if rng.random() < 0.5 else Exists)(v, f)
-    return to_pcnf(f, VOC_P2_C)
+    return to_pcnf(f, voc)
+
+
+def oracle_sat(pf, n):
+    """Whether pf has a model of size n: by enumerating every structure
+    when there are few, else by grounding to a formula tree under each
+    constant valuation."""
+    voc = pf.vocabulary
+    if count_structures(voc, n) * n ** len(voc.constants) <= 512:
+        return brute_force_sat(pf, n)
+    return any(dpll_solve(tseitin(ground_fixed_universe(
+        pf, n, const_values=dict(zip(voc.constants, values)))[0])) is not None
+        for values in itertools.product(range(n), repeat=len(voc.constants)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
 def test_ground_flat_matches_brute_force(seed, n):
     pf = random_sentence(random.Random(seed))
+    # the kernel decides predicate atoms first and backtracks
+    # chronologically, so a size with many unconstrained predicate atoms
+    # (R/3 at n=3) can stall it for minutes: keep at most 14 of them
+    while sum(n ** arity for _, arity in pf.vocabulary.predicates) > 14:
+        n -= 1
     cnf, table = ground_flat(pf, n)
     model = dpll_solve(cnf)
-    assert (model is not None) == brute_force_sat(pf, n), pf
+    assert (model is not None) == oracle_sat(pf, n), pf
     if model is not None:
-        # the predicate atoms and the constant's selectors alone are a model
-        c = next(d for d in range(n) if model[table.lookup((Const("c"), (d,)))])
-        P = frozenset(args for i, (pred, args) in table.items()
-                      if pred == "P" and model.get(i, False))
-        assert evaluate(FiniteStructure(VOC_P2_C, n, {"P": P}, {"c": c}), pf)
+        # the predicate atoms and the constants' selectors alone are a model
+        voc = pf.vocabulary
+        consts = {c: next(d for d in range(n)
+                          if model[table.lookup((Const(c), (d,)))])
+                  for c in voc.constants}
+        interp = {name: frozenset(args for i, (pred, args) in table.items()
+                                  if pred == name and model.get(i, False))
+                  for name, _ in voc.predicates}
+        assert evaluate(FiniteStructure(voc, n, interp, consts), pf)
+
+
+def flat_output(ground, *args):
+    """A grounding's CNF and atom table, or its cap message."""
+    try:
+        cnf, table = ground(*args)
+    except CapExceeded as e:
+        return str(e)
+    return cnf, list(table.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(pf=st.one_of(st.sampled_from([*EDP_EMPTY, EVEN_ORDER, SUCC_NOT_C]),
+                    st.integers(0, 2**32 - 1).map(
+                        lambda seed: random_sentence(random.Random(seed)))),
+       cap=st.sampled_from([30, 300, 10**6]))
+def test_flat_plan_reuse_matches_fresh_grounding(pf, cap):
+    # one compiled plan grounds every size, in any order, as a fresh call
+    plan = FlatPlan(pf)
+    for n in (3, 1, 4, 2):
+        assert (flat_output(plan.ground, n, cap)
+                == flat_output(ground_flat, pf, n, cap)), (n, cap)
 
 
 def test_ground_flat_predicate_atoms_first():
@@ -327,6 +391,39 @@ def test_ground_flat_predicate_atoms_first():
 def test_ground_flat_literal_cap():
     with pytest.raises(CapExceeded, match="ground_flat literal cap"):
         ground_flat(EXAMPLE_C, 5, node_cap=10)
+
+
+def test_ground_flat_equalities_keep_instance_order():
+    # ∀x∀y∀z (¬(x=z) ∨ x=y ∨ P(y,z)): the instances with z=x and x≠y, in
+    # the lexicographic order of (x, y, z)
+    x, y, z = Var("x"), Var("y"), Var("z")
+    pf = to_pcnf(Forall("x", Forall("y", Forall("z", Or((
+        Not(Eq(x, z)), Eq(x, y), Atom("P", (y, z))))))), VOC_P2)
+    for n in (2, 3, 4):
+        cnf, table = ground_flat(pf, n)
+        assert cnf == [[table.lookup(("P", (b, a)))] for a, b in
+                       itertools.product(range(n), repeat=2) if a != b]
+        with pytest.raises(CapExceeded, match=f"needs {n * (n - 1)}, "):
+            ground_flat(pf, n, node_cap=n * (n - 1) - 1)
+
+
+def test_ground_flat_caps_before_allocating():
+    # 40⁶ instances of three literals: charged before any list is built
+    x = [Var(v) for v in "abcdef"]
+    f = Or((Atom("P", (x[0], x[1])), Atom("P", (x[2], x[3])),
+            Atom("P", (x[4], x[5]))))
+    for v in reversed("abcdef"):
+        f = Forall(v, f)
+    pf = to_pcnf(f, VOC_P2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded,
+                           match=f"literal cap: needs {3 * 40 ** 6}, "):
+            ground_flat(pf, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20, peak
 
 
 # -- all_models ------------------------------------------------------------
