@@ -468,8 +468,9 @@ def all_models(cnf: Sequence[Sequence[int]],
     Deterministic depth-first search over the projection variables in
     ascending order, false first, on one pure-kernel state: each branch
     assumes and propagates (a conflict prunes only model-free subtrees),
-    each leaf searches for an extension.  Variables outside cnf take both
-    values."""
+    each leaf searches for an extension.  A leaf's search learns clauses
+    that follow from cnf alone, so later leaves keep them.  Variables
+    outside cnf take both values."""
     state = _dpll_py.Dpll(cnf)
     if state.ok:
         index = dict(zip(state.ids, state.variables))

@@ -142,6 +142,14 @@ EVEN_ORDER = PrenexForm(
          Literal(True, Atom("C", (y,)))),
     ))
 
+# every size is realizable, but the flat CNF leaves most of the n³ R atoms
+# free, and a kernel that backtracks chronologically over them stalls at n=3
+QR_STALL = to_pcnf(
+    Exists("x", Exists("y", Exists("z", Exists("w", And((
+        Or((Not(Q1(y)), Atom("R", (y, z, x)))),
+        Or((Not(Q1(z)), Not(Q1(w)), Not(Q1(x)))))))))),
+    Vocabulary((("Q", 1), ("R", 3))))
+
 
 # ---------------------------------------------------------------------------
 # Fragment corpus: sentences passing the base check with sigma = {}

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_dpll
+from ebsedp import _dpll_py
+from ebsedp.analysis import spectrum
 from ebsedp.errors import CapExceeded
 from ebsedp.groundsat import (AtomTable, FlatPlan, PAnd, PConst, PLit, PNot,
                               POr, all_models, bsr_ground, dpll_solve,
@@ -17,8 +19,8 @@ from ebsedp.syntax import (And, Atom, Const, Eq, Exists, Forall, Not, Or, Var,
                            Vocabulary, to_pcnf)
 
 from corpus import (CONTRADICTION, EDP_EMPTY, EQ_CONGRUENCE, EQ_TRANSITIVITY,
-                    EVEN_ORDER, EXAMPLE_C, TOTAL_RELATION, TWO_ELEMENTS,
-                    VOC_P1, VOC_P2, VOC_P2_C)
+                    EVEN_ORDER, EXAMPLE_C, QR_STALL, TOTAL_RELATION,
+                    TWO_ELEMENTS, VOC_P1, VOC_P2, VOC_P2_C)
 
 
 # -- truth-table oracle for CNF sat ----------------------------------------
@@ -155,6 +157,16 @@ def test_kernels_agree_on_random_3cnf(seed):
     # the small hypothesis CNFs above rarely reach
     cnf = random_3cnf(seed, 30 + seed, 4.26)
     assert dpll_solve(cnf) == reference_dpll.solve(cnf)
+
+
+def test_kernel_learns_past_free_predicate_atoms():
+    # conflict counts are deterministic where times are not: learning needs
+    # 16 conflicts at n=4, chronological backtracking stalls at n=3
+    assert spectrum(QR_STALL, 4).sizes() == (1, 2, 3, 4)
+    state = _dpll_py.Dpll(ground_flat(QR_STALL, 4)[0])
+    assert state.search()
+    assert 0 < state.conflicts <= 100
+    assert state.decisions > 0 and state.learned_literals > 0
 
 
 def test_kernel_selection_reported():
@@ -331,11 +343,6 @@ def oracle_sat(pf, n):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
 def test_ground_flat_matches_brute_force(seed, n):
     pf = random_sentence(random.Random(seed))
-    # the kernel decides predicate atoms first and backtracks
-    # chronologically, so a size with many unconstrained predicate atoms
-    # (R/3 at n=3) can stall it for minutes: keep at most 14 of them
-    while sum(n ** arity for _, arity in pf.vocabulary.predicates) > 14:
-        n -= 1
     cnf, table = ground_flat(pf, n)
     model = dpll_solve(cnf)
     assert (model is not None) == oracle_sat(pf, n), pf
@@ -468,6 +475,27 @@ def test_all_models_matches_reference_on_random_3cnf(seed):
     projection = range(1, 9)
     got = list(all_models(cnf, projection))
     assert got == list(reference_dpll.all_models(cnf, projection))
+
+
+def test_all_models_learns_across_leaves(monkeypatch):
+    # near ratio 4 the leaf searches hit conflicts, so the clauses they
+    # learn must keep the projection's literals and stay valid across undo
+    states = []
+
+    class Recorded(_dpll_py.Dpll):
+        def __init__(self, clauses):
+            super().__init__(clauses)
+            states.append(self)
+
+    monkeypatch.setattr(_dpll_py, "Dpll", Recorded)
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(30, 40)
+        cnf = random_3cnf(seed, n, 4.0)
+        projection = rng.sample(range(1, n + 1), rng.randint(4, 8))
+        got = list(all_models(cnf, projection))
+        assert got == list(reference_dpll.all_models(cnf, projection)), seed
+    assert sum(state.conflicts for state in states) > 0
 
 
 @pytest.mark.parametrize("cnf,projection,want", [
