@@ -159,6 +159,30 @@ def test_kernels_agree_on_random_3cnf(seed):
     assert dpll_solve(cnf) == reference_dpll.solve(cnf)
 
 
+def test_learned_clauses_follow_from_cnf():
+    # every learned clause, read back from the asserted literal's reason
+    # (the clause, or w for the binary clause [lit, -w]), follows from cnf
+    learned = []
+
+    class Checked(_dpll_py.Dpll):
+        def _learn(self, stack):
+            lit, why, level = super()._learn(stack)
+            learned.append([lit] if why is True else [lit, -why]
+                           if type(why) is int else list(why))
+            assert learned[-1][0] == lit
+            return lit, why, level
+
+    checked = 0
+    for seed in range(30):
+        cnf = random_3cnf(seed, 10 + seed % 5, 4.26)
+        learned.clear()
+        Checked(cnf).search()
+        for clause in learned:
+            assert reference_dpll.solve(cnf + [[-l] for l in clause]) is None
+        checked += len(learned)
+    assert checked > 0
+
+
 def test_kernel_learns_past_free_predicate_atoms():
     # conflict counts are deterministic where times are not: learning needs
     # 16 conflicts at n=4, chronological backtracking stalls at n=3
