@@ -24,8 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import reference_dpll
 from ebsedp import _dpll_py
-from ebsedp.groundsat import (AtomTable, ground_fixed_universe, ground_flat,
-                              tseitin)
+from ebsedp.groundsat import ground_fixed_universe, ground_flat, tseitin
 
 
 def random_3cnf(rng, n_vars, ratio=4.2):
@@ -45,9 +44,7 @@ def ground_instances():
              ("total-relation n=5", TOTAL_RELATION, 5)]
     out = []
     for name, pf, n in specs:
-        table = AtomTable()
-        prop, _ = ground_fixed_universe(pf, n, table=table,
-                                       node_cap=10_000_000)
+        prop, table = ground_fixed_universe(pf, n, node_cap=10_000_000)
         out.append((name, tseitin(prop, table)))
     return out
 

@@ -13,12 +13,12 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
 from .edp import BoundReport
 from .errors import CapExceeded
 from .groundsat import (DEFAULT_NODE_CAP, AtomKey, AtomTable, FlatPlan,
-                        GroundLiteral, PConst, all_models, dpll_solve,
+                        GroundCnf, GroundLiteral, all_models, dpll_solve,
                         ground_fixed_universe, ground_over_domain,
-                        literal_triples, p_and, p_not, p_or, tseitin)
-from .structures import (FiniteStructure, count_structures,
-                         enumerate_structures, evaluate)
-from .syntax import FORALL, Const, PrenexForm, Term, Vocabulary
+                        literal_triples, tseitin)
+from .structures import FiniteStructure, count_structures, evaluate
+from .syntax import (EXISTS, FORALL, Atom, Const, Literal, PrenexForm, Term,
+                     Var, Vocabulary, free_vars)
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -101,26 +101,28 @@ def _structure_obj(M: FiniteStructure) -> dict:
 # ---------------------------------------------------------------------------
 # Per-size SAT
 
-def _const_valuations(vocab: Vocabulary, n: int) -> Iterator[Dict[str, int]]:
-    for values in itertools.product(range(n), repeat=len(vocab.constants)):
-        yield dict(zip(vocab.constants, values))
-
-
 def _model_to_structure(pf: PrenexForm, n: int, table: AtomTable,
                         assignment: Mapping[int, bool],
-                        const_values: Mapping[str, int],
-                        extra: Iterable[AtomKey] = ()) -> FiniteStructure:
+                        const_values: Mapping[str, int]) -> FiniteStructure:
     """The structure whose true atoms are the predicate atoms of table true
-    in assignment, plus the atoms in extra."""
+    in assignment."""
     interp: Dict[str, set] = {name: set() for name, _ in pf.vocabulary.predicates}
     for atom_id, (pred, args) in table.items():
         if pred in interp and assignment.get(atom_id, False):
             interp[pred].add(args)
-    for pred, args in extra:
-        interp[pred].add(args)
     return FiniteStructure(pf.vocabulary, n,
                            {k: frozenset(v) for k, v in interp.items()},
                            dict(const_values))
+
+
+def _flat_model(pf: PrenexForm, n: int, table: AtomTable,
+                assignment: Mapping[int, bool]) -> FiniteStructure:
+    """The structure a satisfying assignment of a flat grounding of pf
+    describes: each constant's value is its one true selector."""
+    consts = {c: next(d for d in range(n)
+                      if assignment[table.lookup((Const(c), (d,)))])
+              for c in pf.vocabulary.constants}
+    return _model_to_structure(pf, n, table, assignment, consts)
 
 
 def _sat_at_size(plan: FlatPlan, n: int,
@@ -132,10 +134,7 @@ def _sat_at_size(plan: FlatPlan, n: int,
     assignment = dpll_solve(cnf)
     if assignment is None:
         return None
-    consts = {c: next(d for d in range(n)
-                      if assignment[table.lookup((Const(c), (d,)))])
-              for c in pf.vocabulary.constants}
-    M = _model_to_structure(pf, n, table, assignment, consts)
+    M = _flat_model(pf, n, table, assignment)
     if not evaluate(M, pf):
         raise AssertionError("grounding returned an unverifiable model")
     return M
@@ -311,25 +310,61 @@ def spectrum(pf: PrenexForm, nMax: int,
 NCAP_NOTE = "equivalence verified up to size nCap only"
 
 
+def _negation(pf: PrenexForm) -> PrenexForm:
+    """A sentence whose models are the models of ¬pf, each expanded by
+    fresh predicates (one-sided definitions: Plaisted & Greenbaum 1986):
+    pf's dual prefix over a fresh Dᵢ on the variables of each matrix clause
+    Cᵢ, the clause ∨ᵢ Dᵢ, and ¬Dᵢ ∨ ¬l for each literal l of Cᵢ."""
+    voc = pf.vocabulary
+    order = {v: i for i, (_, v) in enumerate(pf.prefix)}
+    ds: List[Atom] = []
+    matrix = []
+    for i, clause in enumerate(pf.matrix):
+        name = f"D{i}"
+        while voc.is_predicate(name) or voc.is_constant(name):
+            name += "_"
+        xs = sorted(set().union(*[free_vars(lit.atom) for lit in clause]),
+                    key=order.__getitem__)
+        ds.append(Atom(name, tuple(map(Var, xs))))
+        matrix += [(Literal(False, ds[-1]), lit.negate()) for lit in clause]
+    matrix.append(tuple(Literal(True, d) for d in ds))
+    fresh = tuple((d.predicate, len(d.args)) for d in ds)
+    return PrenexForm(Vocabulary(voc.predicates + fresh, voc.constants),
+                      tuple((EXISTS if q == FORALL else FORALL, v)
+                            for q, v in pf.prefix),
+                      tuple(matrix))
+
+
+def _conjoin(cnf: GroundCnf, table: AtomTable,
+             other: Tuple[GroundCnf, AtomTable]) -> GroundCnf:
+    """cnf and the CNF of a second flat grounding over one id space: the
+    second takes table's ids for the predicate atoms and constant selectors
+    and moves its other atoms past table's."""
+    other_cnf, other_table = other
+    ids = [0] + [(not isinstance(key[0], Var) and table.lookup(key))
+                 or len(table) + i for i, key in other_table.items()]
+    return cnf + [[ids[l] if l > 0 else -ids[-l] for l in c] for c in other_cnf]
+
+
 def bounded_equiv(f: PrenexForm, g: PrenexForm, nCap: int,
                   node_cap: int = DEFAULT_NODE_CAP) -> EquivResult:
     """True iff no structure of size ≤ nCap distinguishes the two sentences
-    (bounded stand-in for full validity of f ↔ g, which is undecidable)."""
+    (bounded stand-in for full validity of f ↔ g, which is undecidable).
+    Each size solves f ∧ ¬g, then g ∧ ¬f, as two flat groundings that share
+    their predicate atoms and constant selectors; node_cap bounds each
+    grounding (CapExceeded, "ground_flat ... cap")."""
     if f.vocabulary != g.vocabulary:
         raise ValueError("sentences must share a vocabulary")
+    sides = [(FlatPlan(f), FlatPlan(_negation(g))),
+             (FlatPlan(g), FlatPlan(_negation(f)))]
     for n in range(1, nCap + 1):
-        for consts in _const_valuations(f.vocabulary, n):
-            table = AtomTable()
-            pf_prop, _ = ground_fixed_universe(f, n, const_values=consts,
-                                               table=table, node_cap=node_cap)
-            pg_prop, _ = ground_fixed_universe(g, n, const_values=consts,
-                                               table=table, node_cap=node_cap)
-            diff = p_or([p_and([pf_prop, p_not(pg_prop)]),
-                         p_and([pg_prop, p_not(pf_prop)])])
-            assignment = dpll_solve(tseitin(diff, table))
+        for plan, negation in sides:
+            cnf, table = plan.ground(n, node_cap)
+            assignment = dpll_solve(
+                _conjoin(cnf, table, negation.ground(n, node_cap)))
             if assignment is None:
                 continue
-            M = _model_to_structure(f, n, table, assignment, consts)
+            M = _flat_model(f, n, table, assignment)
             if evaluate(M, f) == evaluate(M, g):
                 raise AssertionError("difference model does not distinguish")
             return EquivResult(False, nCap, M, NCAP_NOTE)
@@ -348,36 +383,28 @@ def _model_stream(pf: PrenexForm, n: int, node_cap: int,
                   ) -> Iterator[Tuple[Reduct, Callable[[], FiniteStructure]]]:
     """Every model of pf with universe {0..n-1}, deterministically, as a
     (σ-reduct, builder) pair: the reduct is read straight from the
-    solver's assignment, and builder() makes the model's structure."""
+    solver's assignment, and builder() makes the model's structure.  The
+    models are enumerated on the formula tree's Tseitin CNF, once per
+    constant valuation."""
     keep = set(sigma)
-    for consts in _const_valuations(pf.vocabulary, n):
+    constants = pf.vocabulary.constants
+    for chosen in itertools.product(range(n), repeat=len(constants)):
+        consts = dict(zip(constants, chosen))
         values = tuple(sorted(consts.items()))
         prop, table = ground_fixed_universe(pf, n, const_values=consts,
                                             node_cap=node_cap)
-        if isinstance(prop, PConst):
-            if prop.value:
-                for M in enumerate_structures(pf.vocabulary, n):
-                    if M.constant_values == consts:
-                        true_sigma = frozenset((p, t) for p in keep
-                                               for t in M.interpretation[p])
-                        yield (n, values, true_sigma), lambda M=M: M
-            continue
+        # atoms the grounding never mentions are registered after it, so
+        # all_models gives them both values, innermost
+        for name, arity in pf.vocabulary.predicates:
+            for args in itertools.product(range(n), repeat=arity):
+                table.id_of((name, args))
         cnf = tseitin(prop, table)
-        atom_ids = [i for i, _ in table.items()]
         sigma_atoms = [(i, key) for i, key in table.items() if key[0] in keep]
-        # atoms never mentioned in the grounding are true don't-cares:
-        # expand them both ways so the stream is the full model set
-        free_keys = [(name, args) for name, arity in pf.vocabulary.predicates
-                     for args in itertools.product(range(n), repeat=arity)
-                     if table.lookup((name, args)) is None]
-        for assignment in all_models(cnf, atom_ids):
-            true_sigma = [key for i, key in sigma_atoms if assignment[i]]
-            for bits in itertools.product((False, True), repeat=len(free_keys)):
-                extra = list(itertools.compress(free_keys, bits))
-                reduct = (n, values, frozenset(
-                    true_sigma + [key for key in extra if key[0] in keep]))
-                yield reduct, functools.partial(
-                    _model_to_structure, pf, n, table, assignment, consts, extra)
+        for assignment in all_models(cnf, range(1, len(table) + 1)):
+            reduct = (n, values, frozenset(
+                key for i, key in sigma_atoms if assignment[i]))
+            yield reduct, functools.partial(
+                _model_to_structure, pf, n, table, assignment, consts)
 
 
 def _all_structure_models(pf: PrenexForm, n: int,
@@ -409,6 +436,8 @@ def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,
     for p in sigma:
         if not pf.vocabulary.is_predicate(p):
             raise ValueError(f"sigma mentions undeclared predicate {p!r}")
+    plan = FlatPlan(pf)
+    grounded: Dict[int, Tuple[GroundCnf, AtomTable]] = {}  # by size
     query_cache: Dict[Tuple, bool] = {}
 
     def completion_query(M: FiniteStructure, s: Tuple[int, ...]) -> bool:
@@ -424,16 +453,19 @@ def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,
         hit = query_cache.get(key)
         if hit is not None:
             return hit
-        pins: Dict[Tuple[str, Tuple[int, ...]], bool] = {}
+        # the size's flat grounding, with the constants and σ-atoms pinned
+        # by unit clauses
+        if len(s) not in grounded:
+            grounded[len(s)] = plan.ground(len(s), node_cap)
+        cnf, table = grounded[len(s)]
+        units = [[table.lookup((Const(c), (v,)))] for c, v in consts]
         for p, tuples in sig:
-            arity = pf.vocabulary.arity(p)
             present = set(tuples)
-            for args in itertools.product(range(len(s)), repeat=arity):
-                pins[(p, args)] = args in present
-        prop, table = ground_fixed_universe(pf, len(s), fixed=pins,
-                                            const_values=dict(consts),
-                                            table=AtomTable(), node_cap=node_cap)
-        ok = dpll_solve(tseitin(prop, table)) is not None
+            for args in itertools.product(range(len(s)),
+                                          repeat=pf.vocabulary.arity(p)):
+                aid = table.lookup((p, args))
+                units.append([aid if args in present else -aid])
+        ok = dpll_solve(cnf + units) is not None
         query_cache[key] = ok
         return ok
 

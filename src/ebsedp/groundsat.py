@@ -1,8 +1,9 @@
 """Propositional layer: flat (MACE-style) grounding straight to CNF for
-model search, compiled once per sentence into slot-indexed clause plans and
-emitted per universe size by column arithmetic; fixed-universe grounding to
-a formula tree with Tseitin conversion for equivalence checks and model
-enumeration; DPLL; Herbrand-style BSR grounding; and DIMACS export."""
+every satisfiability query, compiled once per sentence into slot-indexed
+clause plans and emitted per universe size by column arithmetic;
+fixed-universe grounding to a formula tree with Tseitin conversion, used
+only to enumerate models; DPLL; Herbrand-style BSR grounding; and DIMACS
+export."""
 
 from __future__ import annotations
 
@@ -117,28 +118,16 @@ def p_or(parts: Iterable[PropFormula]) -> PropFormula:
     return out[0] if len(out) == 1 else POr(tuple(out))
 
 
-def p_not(p: PropFormula) -> PropFormula:
-    if isinstance(p, PConst):
-        return PConst(not p.value)
-    if isinstance(p, PLit):
-        return PLit(-p.lit)
-    if isinstance(p, PNot):
-        return p.sub
-    return PNot(p)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-universe grounding
 
 def ground_fixed_universe(pf: PrenexForm, n: int,
-                          fixed: Optional[Mapping[Tuple[str, Tuple[int, ...]], bool]] = None,
                           const_values: Optional[Mapping[str, int]] = None,
-                          table: Optional[AtomTable] = None,
                           node_cap: int = DEFAULT_NODE_CAP) -> Tuple[PropFormula, AtomTable]:
     """Expand a PCNF sentence over the universe {0..n-1}: ∀ to conjunction,
     ∃ to disjunction.  Ground equalities between concrete elements evaluate
-    at grounding time; atoms pinned by `fixed` become constants.  Constant
-    symbols require concrete values via const_values."""
+    at grounding time.  Constant symbols require concrete values via
+    const_values."""
     if n < 1:
         raise ValueError("universe must be nonempty")
     if not pf.is_sentence():
@@ -147,9 +136,7 @@ def ground_fixed_universe(pf: PrenexForm, n: int,
     missing = [c for c in pf.vocabulary.constants if c not in const_values]
     if missing:
         raise ValueError(f"no value for constant(s) {missing}")
-    fixed = dict(fixed or {})
-    if table is None:
-        table = AtomTable()
+    table = AtomTable()
     budget = [node_cap]
 
     def charge(k: int = 1) -> None:
@@ -171,12 +158,8 @@ def ground_fixed_universe(pf: PrenexForm, n: int,
                     lits.append(PConst(value == lit.positive))
                 else:
                     args = tuple(term_value(t, a) for t in atom.args)
-                    pin = fixed.get((atom.predicate, args))
-                    if pin is not None:
-                        lits.append(PConst(pin == lit.positive))
-                    else:
-                        aid = table.id_of((atom.predicate, args))
-                        lits.append(PLit(aid if lit.positive else -aid))
+                    aid = table.id_of((atom.predicate, args))
+                    lits.append(PLit(aid if lit.positive else -aid))
                 charge()
             clauses.append(p_or(lits))
         return p_and(clauses)
@@ -292,17 +275,17 @@ class FlatPlan:
     def ground(self, n: int,
                node_cap: int = DEFAULT_NODE_CAP) -> Tuple[GroundCnf, AtomTable]:
         """The CNF over the universe {0..n-1} and its atom table.  Every
-        predicate atom is registered first, argument tuples ascending, so
-        ids 1..A are exactly the predicate atoms.  node_cap bounds the
-        literals emitted; each charge is made before its lists are built."""
+        predicate atom comes first, argument tuples ascending, so ids 1..A
+        are exactly the predicate atoms.  node_cap bounds the literals
+        emitted, each charge made before its lists are built, and then,
+        separately, A, checked before any atom is registered."""
         if n < 1:
             raise ValueError("universe must be nonempty")
-        table = AtomTable()
-        start: List[int] = []  # symbol -> id of its first atom, minus 1
-        for name, arity in self.predicates:
-            start.append(len(table))
-            for args in itertools.product(range(n), repeat=arity):
-                table.id_of((name, args))
+        # symbol -> id of its first atom, minus 1; each symbol has nᵃʳⁱᵗʸ
+        # atoms, and a table of arity r has n values in each of its nʳ rows
+        start = [0, *itertools.accumulate(
+            [n ** arity for _, arity in self.predicates]
+            + [n ** (arity + 1) for _, arity, _ in self.tables])]
         cnf: GroundCnf = []
         emitted = 0
 
@@ -312,13 +295,11 @@ class FlatPlan:
             if emitted > node_cap:
                 raise CapExceeded("ground_flat literal cap", emitted, node_cap)
 
-        for sym, arity, is_const in self.tables:
+        for sym, (_, arity, is_const) in enumerate(self.tables,
+                                                   len(self.predicates)):
             rows = n ** arity
             charge(rows * (n + (n * (n - 1) if is_const else 0)))
-            start.append(len(table))
-            for args in itertools.product(range(n), repeat=arity + 1):
-                table.id_of((sym, args))
-            for row in range(start[-1] + 1, len(table) + 1, n):
+            for row in range(start[sym] + 1, start[sym + 1] + 1, n):
                 cnf.append(list(range(row, row + n)))
                 if is_const:  # at most one value
                     cnf.extend([-a, -b] for a, b in
@@ -375,6 +356,16 @@ class FlatPlan:
             if diffs:
                 rows = itertools.compress(rows, differ(width, diffs))
             cnf.extend(map(list, rows))
+
+        atoms = start[len(self.predicates)]
+        if atoms > node_cap:
+            raise CapExceeded("ground_flat atom registration cap", atoms,
+                              node_cap)
+        table = AtomTable()
+        for key, arity in [*self.predicates,
+                           *[(k, a + 1) for k, a, _ in self.tables]]:
+            for args in itertools.product(range(n), repeat=arity):
+                table.id_of((key, args))
         return cnf, table
 
 
@@ -424,7 +415,7 @@ def tseitin(p: PropFormula, table: Optional[AtomTable] = None) -> GroundCnf:
             t = next_aux[0]
             next_aux[0] += 1
             clauses.append([t] if node.value else [-t])
-            return t if node.value else -t
+            return t
         sub = [encode(a) for a in node.args]
         t = next_aux[0]
         next_aux[0] += 1

@@ -115,31 +115,20 @@ def edp_extend(pf: PrenexForm, sigma: Iterable[str], M: FiniteStructure,
 
     # deterministic least-value witness functions for the inner existentials,
     # respecting the quantifier dependencies in M
-    memo: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
     choices: Dict[Tuple[int, Tuple[int, ...]], int] = {}
 
     def sat_from(i: int, vals: Tuple[int, ...]) -> bool:
-        key = (i, vals)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         if i == len(prefix):
             a = dict(base_assign)
             a.update({prefix[base_i + j][1]: vals[j] for j in range(len(vals))})
-            out = _eval_matrix(M, pf, a)
-        else:
-            q = prefix[i][0]
-            if q == FORALL:
-                out = all(sat_from(i + 1, vals + (e,)) for e in range(M.n))
-            else:
-                out = False
-                for d in range(M.n):
-                    if sat_from(i + 1, vals + (d,)):
-                        choices[key] = d
-                        out = True
-                        break
-        memo[key] = out
-        return out
+            return _eval_matrix(M, pf, a)
+        if prefix[i][0] == FORALL:
+            return all(sat_from(i + 1, vals + (e,)) for e in range(M.n))
+        for d in range(M.n):
+            if sat_from(i + 1, vals + (d,)):
+                choices[(i, vals)] = d
+                return True
+        return False
 
     if not sat_from(base_i, ()):
         raise ValueError("M does not model the sentence with the core's witness")

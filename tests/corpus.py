@@ -194,6 +194,40 @@ BSR: List[PrenexForm] = [
 ]
 
 
+# the vocabulary random sentences draw on; each sentence declares a subset
+VOC_WIDE = Vocabulary((("P", 2), ("Q", 1), ("R", 3)), ("c", "d"))
+
+
+def random_sentence(rng):
+    """Up to four variables under a random prefix (so Skolem tables over up
+    to three universals), one to three predicates of arity 1-3, zero to two
+    constants, and equalities between any terms, in mixed clauses and in
+    clauses of equalities alone."""
+    names = ["x", "y", "z", "w"][:rng.randint(1, 4)]
+    preds = tuple(p for p in VOC_WIDE.predicates if rng.random() < 0.6) \
+        or (rng.choice(VOC_WIDE.predicates),)
+    consts = tuple(c for c in VOC_WIDE.constants if rng.random() < 0.4)
+    voc = Vocabulary(preds, consts)
+    terms = [Var(v) for v in names] + [Const(c) for c in consts]
+
+    def lit(eq_only):
+        if eq_only or rng.random() < 0.3:
+            a = Eq(rng.choice(terms), rng.choice(terms))
+        else:
+            name, arity = rng.choice(preds)
+            a = Atom(name, tuple(rng.choice(terms) for _ in range(arity)))
+        return Not(a) if rng.random() < 0.5 else a
+
+    def clause():
+        eq_only = rng.random() < 0.15
+        return Or(tuple(lit(eq_only) for _ in range(rng.randint(1, 3))))
+
+    f = And(tuple(clause() for _ in range(rng.randint(1, 3))))
+    for v in reversed(names):
+        f = (Forall if rng.random() < 0.5 else Exists)(v, f)
+    return to_pcnf(f, voc)
+
+
 def bsr_exists_count(pf: PrenexForm) -> int:
     return sum(1 for q, _ in pf.prefix if q == "exists")
 

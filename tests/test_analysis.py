@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ebsedp.analysis import (NCAP_NOTE, SAT, UNKNOWN, UNSAT, SatOutcome,
                              bounded_equiv, decide_sat_bounded, ebs_oracle,
@@ -8,14 +11,15 @@ from ebsedp.analysis import (NCAP_NOTE, SAT, UNKNOWN, UNSAT, SatOutcome,
                              interleaved_sat, spectrum)
 from ebsedp.edp import classify, edp_bound
 from ebsedp.errors import CapExceeded
-from ebsedp.structures import (enumerate_structures, evaluate,
-                               generated_substructure, restrict_eq)
-from ebsedp.syntax import (And, Atom, Eq, Exists, Forall, Not, Or, Var,
-                           Vocabulary, to_pcnf)
+from ebsedp.structures import (count_structures, enumerate_structures,
+                               evaluate, generated_substructure, restrict_eq)
+from ebsedp.syntax import (EXISTS, FORALL, And, Atom, Const, Eq, Exists,
+                           Forall, Not, Or, Var, Vocabulary, to_pcnf)
 
 from corpus import (ALL_EQUAL, CONTRADICTION, DAG, EQ_CONGRUENCE,
                     EQ_TRANSITIVITY, EVEN_MATCHING, EVEN_ORDER, EXAMPLE_B,
-                    EXAMPLE_C, TOTAL_RELATION, TWO_ELEMENTS, VOC_P2, P)
+                    EXAMPLE_C, TOTAL_RELATION, TWO_ELEMENTS, VOC_P2, P,
+                    random_sentence)
 
 
 # -- bounded satisfiability ------------------------------------------------
@@ -151,6 +155,46 @@ def test_bounded_equiv_negative_with_verified_countermodel():
     assert evaluate(M, TOTAL_RELATION) != evaluate(M, flipped)
 
 
+def mutated(pf, kind, rng):
+    """pf with its clauses reversed, one literal negated or one quantifier
+    flipped."""
+    if kind == "literal" and any(pf.matrix):
+        i = rng.choice([i for i, c in enumerate(pf.matrix) if c])
+        j = rng.randrange(len(pf.matrix[i]))
+        clause = tuple(lit.negate() if k == j else lit
+                       for k, lit in enumerate(pf.matrix[i]))
+        return dataclasses.replace(
+            pf, matrix=pf.matrix[:i] + (clause,) + pf.matrix[i + 1:])
+    if kind == "quantifier" and pf.prefix:
+        i = rng.randrange(len(pf.prefix))
+        q, v = pf.prefix[i]
+        flipped = (EXISTS if q == FORALL else FORALL, v)
+        return dataclasses.replace(
+            pf, prefix=pf.prefix[:i] + (flipped,) + pf.prefix[i + 1:])
+    return dataclasses.replace(pf, matrix=pf.matrix[::-1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["reverse", "literal", "quantifier"]))
+def test_bounded_equiv_matches_enumeration(seed, kind):
+    rng = random.Random(seed)
+    f = random_sentence(rng)
+    # the exhaustive oracle evaluates both sentences on every structure
+    assume(count_structures(f.vocabulary, 2) <= 4096)
+    g = mutated(f, kind, rng)
+    first = next((n for n in (1, 2)
+                  if any(evaluate(M, f) != evaluate(M, g)
+                         for M in enumerate_structures(f.vocabulary, n))),
+                 None)
+    res = bounded_equiv(f, g, 2)
+    assert res.equivalent == (first is None), (f, g)
+    if not res.equivalent:
+        M = res.countermodel
+        assert M.n == first
+        assert evaluate(M, f) != evaluate(M, g)
+
+
 def test_bounded_equiv_vocabulary_mismatch():
     with pytest.raises(ValueError):
         bounded_equiv(TOTAL_RELATION, EXAMPLE_C, 2)
@@ -252,6 +296,20 @@ def test_ebs_oracle_matches_brute_force(pf):
                     else:
                         assert evaluate(got.fail_model, pf), case
                         assert got.fail_model.to_json() in bad, case
+
+
+def test_ebs_oracle_keeps_constants_in_place():
+    # in the model c=0, Q={0,2}, the extension {0,1} has Q only at c, so no
+    # completion with c=0 models the sentence; one that moved c to 1 would
+    x, y, z, w, c = Var("x"), Var("y"), Var("z"), Var("w"), Const("c")
+    pf = to_pcnf(Or((Forall("y", Forall("z", Eq(y, z))),
+                     Exists("x", And((Not(Eq(x, c)), Atom("Q", (x,))))),
+                     Forall("w", Not(Atom("Q", (w,)))))),
+                 Vocabulary((("Q", 1),), ("c",)))
+    got = ebs_oracle(pf, ("Q",), 1, 3)
+    _, bad = _brute_ebs(pf, ("Q",), 1, 3)
+    assert not got.passed
+    assert got.fail_model.to_json() in bad
 
 
 # -- bound search ----------------------------------------------------------

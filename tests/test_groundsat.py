@@ -12,7 +12,7 @@ from ebsedp.errors import CapExceeded
 from ebsedp.groundsat import (AtomTable, FlatPlan, PAnd, PConst, PLit, PNot,
                               POr, all_models, bsr_ground, dpll_solve,
                               export_dimacs, ground_fixed_universe,
-                              ground_flat, p_and, p_not, p_or, tseitin)
+                              ground_flat, p_and, p_or, tseitin)
 from ebsedp.structures import (FiniteStructure, count_structures,
                                enumerate_structures, evaluate)
 from ebsedp.syntax import (And, Atom, Const, Eq, Exists, Forall, Not, Or, Var,
@@ -20,7 +20,7 @@ from ebsedp.syntax import (And, Atom, Const, Eq, Exists, Forall, Not, Or, Var,
 
 from corpus import (CONTRADICTION, EDP_EMPTY, EQ_CONGRUENCE, EQ_TRANSITIVITY,
                     EVEN_ORDER, EXAMPLE_C, QR_STALL, TOTAL_RELATION,
-                    TWO_ELEMENTS, VOC_P1, VOC_P2, VOC_P2_C)
+                    TWO_ELEMENTS, VOC_P1, VOC_P2, VOC_P2_C, random_sentence)
 
 
 # -- truth-table oracle for CNF sat ----------------------------------------
@@ -73,8 +73,6 @@ def test_prop_smart_constructors():
     assert p_and([PLit(1), PConst(False)]) == PConst(False)
     assert p_or([PLit(1), PConst(True)]) == PConst(True)
     assert p_and([PConst(True), PLit(1)]) == PLit(1)
-    assert p_not(p_not(PLit(3))) == PLit(3)
-    assert p_not(PConst(True)) == PConst(False)
 
 
 # -- DPLL kernels ----------------------------------------------------------
@@ -207,7 +205,7 @@ def test_tseitin_equisatisfiable(data):
     prop = data.draw(st.recursive(
         st.one_of(lit, st.booleans().map(PConst)),
         lambda sub: st.one_of(
-            sub.map(p_not),
+            sub.map(PNot),
             st.lists(sub, min_size=1, max_size=3).map(p_and),
             st.lists(sub, min_size=1, max_size=3).map(p_or)),
         max_leaves=12))
@@ -257,28 +255,9 @@ def test_ground_equality_folds_at_ground_time():
     assert prop1 == PConst(False)
 
 
-def test_ground_fixed_pins():
-    # pinning P(0,0) false forces the n=1 grounding of total relation UNSAT
-    prop, _ = ground_fixed_universe(TOTAL_RELATION, 1,
-                                    fixed={("P", (0, 0)): False})
-    assert prop == PConst(False)
-    prop, _ = ground_fixed_universe(TOTAL_RELATION, 1,
-                                    fixed={("P", (0, 0)): True})
-    assert prop == PConst(True)
-
-
 def test_ground_node_cap():
     with pytest.raises(CapExceeded):
         ground_fixed_universe(EXAMPLE_C, 5, node_cap=10)
-
-
-def test_ground_shared_table():
-    t = AtomTable()
-    ground_fixed_universe(TOTAL_RELATION, 2, table=t)
-    before = len(t)
-    assert before > 0
-    ground_fixed_universe(TOTAL_RELATION, 2, table=t)
-    assert len(t) == before  # same keys, same ids
 
 
 def test_ground_missing_constant_value():
@@ -315,40 +294,6 @@ def test_ground_flat_sat_matches_semantics(n):
                SUCC_NOT_C):
         cnf, _ = ground_flat(pf, n)
         assert (dpll_solve(cnf) is not None) == brute_force_sat(pf, n), (pf, n)
-
-
-# the vocabulary random sentences draw on; each sentence declares a subset
-VOC_WIDE = Vocabulary((("P", 2), ("Q", 1), ("R", 3)), ("c", "d"))
-
-
-def random_sentence(rng):
-    """Up to four variables under a random prefix (so Skolem tables over up
-    to three universals), one to three predicates of arity 1-3, zero to two
-    constants, and equalities between any terms, in mixed clauses and in
-    clauses of equalities alone."""
-    names = ["x", "y", "z", "w"][:rng.randint(1, 4)]
-    preds = tuple(p for p in VOC_WIDE.predicates if rng.random() < 0.6) \
-        or (rng.choice(VOC_WIDE.predicates),)
-    consts = tuple(c for c in VOC_WIDE.constants if rng.random() < 0.4)
-    voc = Vocabulary(preds, consts)
-    terms = [Var(v) for v in names] + [Const(c) for c in consts]
-
-    def lit(eq_only):
-        if eq_only or rng.random() < 0.3:
-            a = Eq(rng.choice(terms), rng.choice(terms))
-        else:
-            name, arity = rng.choice(preds)
-            a = Atom(name, tuple(rng.choice(terms) for _ in range(arity)))
-        return Not(a) if rng.random() < 0.5 else a
-
-    def clause():
-        eq_only = rng.random() < 0.15
-        return Or(tuple(lit(eq_only) for _ in range(rng.randint(1, 3))))
-
-    f = And(tuple(clause() for _ in range(rng.randint(1, 3))))
-    for v in reversed(names):
-        f = (Forall if rng.random() < 0.5 else Exists)(v, f)
-    return to_pcnf(f, voc)
 
 
 def oracle_sat(pf, n):
@@ -455,6 +400,23 @@ def test_ground_flat_caps_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2 ** 20, peak
+
+
+def test_ground_flat_caps_atom_registration(monkeypatch):
+    # ∃x P(x,x,x,x) has one literal but 30⁴ predicate atoms at n=30
+    x = Var("x")
+    plan = FlatPlan(to_pcnf(Exists("x", Atom("P", (x, x, x, x))),
+                            Vocabulary((("P", 4),))))
+    with monkeypatch.context() as m:
+        def register(self, key):
+            raise AssertionError("an atom was registered")
+        m.setattr(AtomTable, "id_of", register)
+        with pytest.raises(CapExceeded, match=(
+                f"ground_flat atom registration cap: needs {30 ** 4}, "
+                "cap is 1000")):
+            plan.ground(30, node_cap=1000)
+    _, table = plan.ground(5, node_cap=1000)
+    assert len(table) == 5 ** 4 + 5  # the atoms, then x's selectors
 
 
 # -- all_models ------------------------------------------------------------
