@@ -18,7 +18,7 @@ from .groundsat import (DEFAULT_NODE_CAP, AtomKey, AtomTable, FlatPlan,
                         literal_triples, tseitin)
 from .structures import FiniteStructure, count_structures, evaluate
 from .syntax import (EXISTS, FORALL, Atom, Const, Literal, PrenexForm, Term,
-                     Var, Vocabulary, free_vars)
+                     Var, Vocabulary, free_vars, substitute)
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -313,11 +313,23 @@ NCAP_NOTE = "equivalence verified up to size nCap only"
 def _negation(pf: PrenexForm) -> PrenexForm:
     """A sentence whose models are the models of ¬pf, each expanded by
     fresh predicates (one-sided definitions: Plaisted & Greenbaum 1986):
-    pf's dual prefix over a fresh Dᵢ on the variables of each matrix clause
-    Cᵢ, the clause ∨ᵢ Dᵢ, and ¬Dᵢ ∨ ¬l for each literal l of Cᵢ."""
+    under pf's dual prefix, the clause ∨ᵢ Dᵢ, with a fresh Dᵢ on the
+    variables of each matrix clause Cᵢ; and ¬Dᵢ ∨ ¬l for each literal l of
+    Cᵢ.  These definitions hold at every tuple, so they range over a
+    universal copy of the variables placed after the prefix, where they
+    select no Skolem table."""
     voc = pf.vocabulary
     order = {v: i for i, (_, v) in enumerate(pf.prefix)}
-    ds: List[Atom] = []
+    used = set(order)
+    copy: Dict[str, Term] = {}
+    for v in order:
+        w = v + "_"
+        while w in used:
+            w += "_"
+        used.add(w)
+        copy[v] = Var(w)
+    fresh: List[Tuple[str, int]] = []
+    some: List[Literal] = []  # ∨ᵢ Dᵢ
     matrix = []
     for i, clause in enumerate(pf.matrix):
         name = f"D{i}"
@@ -325,13 +337,16 @@ def _negation(pf: PrenexForm) -> PrenexForm:
             name += "_"
         xs = sorted(set().union(*[free_vars(lit.atom) for lit in clause]),
                     key=order.__getitem__)
-        ds.append(Atom(name, tuple(map(Var, xs))))
-        matrix += [(Literal(False, ds[-1]), lit.negate()) for lit in clause]
-    matrix.append(tuple(Literal(True, d) for d in ds))
-    fresh = tuple((d.predicate, len(d.args)) for d in ds)
-    return PrenexForm(Vocabulary(voc.predicates + fresh, voc.constants),
+        fresh.append((name, len(xs)))
+        some.append(Literal(True, Atom(name, tuple(map(Var, xs)))))
+        d = Literal(False, Atom(name, tuple(copy[x] for x in xs)))
+        matrix += [(d, Literal(not lit.positive, substitute(lit.atom, copy)))
+                   for lit in clause]
+    matrix.append(tuple(some))
+    return PrenexForm(Vocabulary(voc.predicates + tuple(fresh), voc.constants),
                       tuple((EXISTS if q == FORALL else FORALL, v)
-                            for q, v in pf.prefix),
+                            for q, v in pf.prefix)
+                      + tuple((FORALL, t.name) for t in copy.values()),
                       tuple(matrix))
 
 
