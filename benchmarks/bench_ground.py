@@ -8,6 +8,11 @@ the median time of a fresh ground_flat call (compile and emit), and the
 median time of plan.ground on one compiled FlatPlan (emit only).  The two
 must return the same CNF; a mismatch exits 1.
 
+Then, for each φ and its equivalent translation ψ = to_bsr_equivalent(φ, B),
+grounds the conjunction φ ∧ ¬ψ that bounded_equiv solves, as one FlatPlan
+over φ and the negation of ψ, at n ≤ min(--nmax, 2).  Prints its clauses,
+literals and the median time of compiling and emitting it.
+
 Usage: python benchmarks/bench_ground.py [--nmax N] [--repeat N]
 """
 
@@ -20,7 +25,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from corpus import EDP_EMPTY
-from ebsedp import classify, edp_bound, to_bsr_equispectral
+from ebsedp import (classify, edp_bound, to_bsr_equispectral,
+                    to_bsr_equivalent)
+from ebsedp.analysis import _negation
 from ebsedp.groundsat import FlatPlan, ground_flat
 
 
@@ -62,6 +69,17 @@ def main(argv=None):
                       f" {sum(map(len, cnf)):9d} {t:10.2f}ms {t_emit:7.2f}ms")
     print(f"\nground_flat total {total:.1f} ms over {len(EDP_EMPTY)} sentences,"
           f" their translations and n=1..{args.nmax}")
+
+    print(f"\n{'phi & !psi':12s} {'n':>2s} {'clauses':>8s} {'literals':>9s}"
+          f" {'FlatPlan':>12s}")
+    for i, phi in enumerate(EDP_EMPTY):
+        B = edp_bound(classify(phi)).B
+        negation = _negation(to_bsr_equivalent(phi, B).bsr, phi)
+        for n in range(1, min(args.nmax, 2) + 1):
+            (cnf, _), t = median_ms(
+                lambda: FlatPlan(phi, negation).ground(n), args.repeat)
+            print(f"{f'[{i}] B={B}':12s} {n:2d} {len(cnf):8d}"
+                  f" {sum(map(len, cnf)):9d} {t:10.2f}ms")
     return 0
 
 

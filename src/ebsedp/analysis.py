@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     Mapping, Optional, Set, Tuple)
 
+from ._dpll_py import Dpll
 from .edp import BoundReport
 from .errors import CapExceeded
 from .groundsat import (DEFAULT_NODE_CAP, AtomKey, AtomTable, FlatPlan,
-                        GroundCnf, GroundLiteral, all_models, dpll_solve,
+                        GroundLiteral, all_models, dpll_solve,
                         ground_fixed_universe, ground_over_domain,
                         literal_triples, tseitin)
 from .structures import FiniteStructure, count_structures, evaluate
@@ -110,9 +111,7 @@ def _model_to_structure(pf: PrenexForm, n: int, table: AtomTable,
     for atom_id, (pred, args) in table.items():
         if pred in interp and assignment.get(atom_id, False):
             interp[pred].add(args)
-    return FiniteStructure(pf.vocabulary, n,
-                           {k: frozenset(v) for k, v in interp.items()},
-                           dict(const_values))
+    return FiniteStructure(pf.vocabulary, n, interp, const_values)
 
 
 def _flat_model(pf: PrenexForm, n: int, table: AtomTable,
@@ -129,7 +128,7 @@ def _sat_at_size(plan: FlatPlan, n: int,
                  node_cap: int = DEFAULT_NODE_CAP) -> Optional[FiniteStructure]:
     """A model of the plan's sentence with universe exactly {0..n-1}, or
     None."""
-    pf = plan.pf
+    pf, = plan.sentences
     cnf, table = plan.ground(n, node_cap)
     assignment = dpll_solve(cnf)
     if assignment is None:
@@ -151,13 +150,11 @@ def decide_sat_bounded(pf: PrenexForm, B: int,
     if not pf.is_sentence():
         raise ValueError("satisfiability is for sentences")
     plan = FlatPlan(pf)
-    sizes = 0
     for n in range(1, max(B, 1) + 1):
-        sizes += 1
         M = _sat_at_size(plan, n, node_cap)
         if M is not None:
-            return SatOutcome(SAT, M, {"sizes_tried": sizes})
-    return SatOutcome(UNSAT, None, {"sizes_tried": sizes})
+            return SatOutcome(SAT, M, {"sizes_tried": n})
+    return SatOutcome(UNSAT, None, {"sizes_tried": max(B, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -310,73 +307,64 @@ def spectrum(pf: PrenexForm, nMax: int,
 NCAP_NOTE = "equivalence verified up to size nCap only"
 
 
-def _negation(pf: PrenexForm) -> PrenexForm:
+def _negation(pf: PrenexForm, other: PrenexForm) -> PrenexForm:
     """A sentence whose models are the models of ¬pf, each expanded by
     fresh predicates (one-sided definitions: Plaisted & Greenbaum 1986):
     under pf's dual prefix, the clause ∨ᵢ Dᵢ, with a fresh Dᵢ on the
     variables of each matrix clause Cᵢ; and ¬Dᵢ ∨ ¬l for each literal l of
     Cᵢ.  These definitions hold at every tuple, so they range over a
     universal copy of the variables placed after the prefix, where they
-    select no Skolem table."""
+    select no Skolem table.  pf's variables are renamed apart from other's,
+    and each new name is fresh against the vocabulary and both sentences'
+    variables, so FlatPlan(other, _negation(pf, other)) grounds the
+    conjunction."""
     voc = pf.vocabulary
     order = {v: i for i, (_, v) in enumerate(pf.prefix)}
-    used = set(order)
-    copy: Dict[str, Term] = {}
-    for v in order:
-        w = v + "_"
-        while w in used:
-            w += "_"
-        used.add(w)
-        copy[v] = Var(w)
-    fresh: List[Tuple[str, int]] = []
+    used = {*voc.predicate_names, *voc.constants, *(v for _, v in other.prefix)}
+
+    def fresh(name: str) -> str:
+        while name in used:
+            name += "_"
+        used.add(name)
+        return name
+
+    own = {v: Var(fresh(v)) for v in order}
+    copy = {v: Var(fresh(w.name + "_")) for v, w in own.items()}
+    fresh_preds: List[Tuple[str, int]] = []
     some: List[Literal] = []  # ∨ᵢ Dᵢ
     matrix = []
     for i, clause in enumerate(pf.matrix):
-        name = f"D{i}"
-        while voc.is_predicate(name) or voc.is_constant(name):
-            name += "_"
+        name = fresh(f"D{i}")
         xs = sorted(set().union(*[free_vars(lit.atom) for lit in clause]),
                     key=order.__getitem__)
-        fresh.append((name, len(xs)))
-        some.append(Literal(True, Atom(name, tuple(map(Var, xs)))))
+        fresh_preds.append((name, len(xs)))
+        some.append(Literal(True, Atom(name, tuple(own[x] for x in xs))))
         d = Literal(False, Atom(name, tuple(copy[x] for x in xs)))
         matrix += [(d, Literal(not lit.positive, substitute(lit.atom, copy)))
                    for lit in clause]
     matrix.append(tuple(some))
-    return PrenexForm(Vocabulary(voc.predicates + tuple(fresh), voc.constants),
-                      tuple((EXISTS if q == FORALL else FORALL, v)
+    return PrenexForm(Vocabulary(voc.predicates + tuple(fresh_preds),
+                                 voc.constants),
+                      tuple((EXISTS if q == FORALL else FORALL, own[v].name)
                             for q, v in pf.prefix)
                       + tuple((FORALL, t.name) for t in copy.values()),
                       tuple(matrix))
-
-
-def _conjoin(cnf: GroundCnf, table: AtomTable,
-             other: Tuple[GroundCnf, AtomTable]) -> GroundCnf:
-    """cnf and the CNF of a second flat grounding over one id space: the
-    second takes table's ids for the predicate atoms and constant selectors
-    and moves its other atoms past table's."""
-    other_cnf, other_table = other
-    ids = [0] + [(not isinstance(key[0], Var) and table.lookup(key))
-                 or len(table) + i for i, key in other_table.items()]
-    return cnf + [[ids[l] if l > 0 else -ids[-l] for l in c] for c in other_cnf]
 
 
 def bounded_equiv(f: PrenexForm, g: PrenexForm, nCap: int,
                   node_cap: int = DEFAULT_NODE_CAP) -> EquivResult:
     """True iff no structure of size ≤ nCap distinguishes the two sentences
     (bounded stand-in for full validity of f ↔ g, which is undecidable).
-    Each size solves f ∧ ¬g, then g ∧ ¬f, as two flat groundings that share
-    their predicate atoms and constant selectors; node_cap bounds each
-    grounding (CapExceeded, "ground_flat ... cap")."""
+    Each size solves f ∧ ¬g, then g ∧ ¬f, each one FlatPlan over both
+    sentences; node_cap bounds each conjunction's grounding (CapExceeded,
+    "ground_flat ... cap")."""
     if f.vocabulary != g.vocabulary:
         raise ValueError("sentences must share a vocabulary")
-    sides = [(FlatPlan(f), FlatPlan(_negation(g))),
-             (FlatPlan(g), FlatPlan(_negation(f)))]
+    sides = [FlatPlan(f, _negation(g, f)), FlatPlan(g, _negation(f, g))]
     for n in range(1, nCap + 1):
-        for plan, negation in sides:
+        for plan in sides:
             cnf, table = plan.ground(n, node_cap)
-            assignment = dpll_solve(
-                _conjoin(cnf, table, negation.ground(n, node_cap)))
+            assignment = dpll_solve(cnf)
             if assignment is None:
                 continue
             M = _flat_model(f, n, table, assignment)
@@ -452,7 +440,8 @@ def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,
         if not pf.vocabulary.is_predicate(p):
             raise ValueError(f"sigma mentions undeclared predicate {p!r}")
     plan = FlatPlan(pf)
-    grounded: Dict[int, Tuple[GroundCnf, AtomTable]] = {}  # by size
+    # by size: table, kernel on its CNF, atom id -> variable, start trail
+    kernels: Dict[int, Tuple[AtomTable, Dpll, Dict[int, int], int]] = {}
     query_cache: Dict[Tuple, bool] = {}
 
     def completion_query(M: FiniteStructure, s: Tuple[int, ...]) -> bool:
@@ -468,19 +457,23 @@ def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,
         hit = query_cache.get(key)
         if hit is not None:
             return hit
-        # the size's flat grounding, with the constants and σ-atoms pinned
-        # by unit clauses
-        if len(s) not in grounded:
-            grounded[len(s)] = plan.ground(len(s), node_cap)
-        cnf, table = grounded[len(s)]
-        units = [[table.lookup((Const(c), (v,)))] for c, v in consts]
+        # the size's flat grounding, with the constants and σ-atoms that
+        # its CNF mentions assumed, then undone
+        if len(s) not in kernels:
+            cnf, table = plan.ground(len(s), node_cap)
+            state = Dpll(cnf)
+            index = dict(zip(state.ids, state.variables))
+            kernels[len(s)] = (table, state, index, len(state.trail))
+        table, state, index, start = kernels[len(s)]
+        pins = {table.lookup((Const(c), (v,))): True for c, v in consts}
         for p, tuples in sig:
-            present = set(tuples)
             for args in itertools.product(range(len(s)),
                                           repeat=pf.vocabulary.arity(p)):
-                aid = table.lookup((p, args))
-                units.append([aid if args in present else -aid])
-        ok = dpll_solve(cnf + units) is not None
+                pins[table.lookup((p, args))] = args in tuples
+        ok = state.ok and all(
+            state.assume(index[a] if value else -index[a])
+            for a, value in pins.items() if a in index) and state.search()
+        state.undo(start)
         query_cache[key] = ok
         return ok
 

@@ -1,6 +1,6 @@
 """Propositional layer: flat (MACE-style) grounding straight to CNF for
-every satisfiability query, compiled once per sentence into slot-indexed
-clause plans and emitted per universe size by column arithmetic;
+every satisfiability query, compiled once per conjunction of sentences into
+slot-indexed clause plans and emitted per universe size by column arithmetic;
 fixed-universe grounding to a formula tree with Tseitin conversion, used
 only to enumerate models; DPLL; Herbrand-style BSR grounding; and DIMACS
 export."""
@@ -55,8 +55,7 @@ class AtomTable:
         return len(self._by_id)
 
     def items(self) -> Iterator[Tuple[int, AtomKey]]:
-        for i, key in enumerate(self._by_id, start=1):
-            yield i, key
+        return enumerate(self._by_id, start=1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,103 +188,113 @@ def ground_fixed_universe(pf: PrenexForm, n: int,
 # Flat grounding (MACE-style: Claessen & Sörensson 2003; McCune 2003)
 
 class FlatPlan:
-    """The flat grounding of one PCNF sentence, compiled once for every
-    universe size; ground(n, node_cap) emits the CNF for size n.
+    """The flat grounding of a conjunction of PCNF sentences that share
+    predicates and constants, compiled once for every universe size;
+    ground(n, node_cap) emits the CNF for size n, in one id space.
 
-    Symbols are numbered predicates first, in vocabulary order, then the
-    tables: each constant c is a 0-ary table (Const(c), (d,)) with
-    exactly-one clauses, and each existential v whose preceding universals
-    are D is a Skolem table of selector atoms (Var(v), ē + (d,)), "v is d
-    at ē", with one at-least-one clause per ē ∈ nᴰ.  A matrix clause
-    becomes a plan over integer slots: the universals it mentions, in
-    prefix order, then the tables it selects, each ranging over {0..n-1};
-    its instances are the slot tuples in lexicographic order.  A
-    disequality literal ¬(s=t) keeps only instances with s=t, so the later
-    slot is merged into the earlier one, which keeps that order; an
-    equality literal s=t keeps only instances with s≠t.  The plan's
-    literals are the clause's predicate atoms, then one ¬selector guard
-    per table it selects.  A literal is (symbol, slot count, sign,
-    argument slots...); the clauses that share one share its id column."""
+    Symbols are numbered sentence by sentence: first its predicates not yet
+    numbered, in vocabulary order; then its constants not yet numbered,
+    each a 0-ary table (Const(c), (d,)) with exactly-one clauses; then its
+    Skolem tables, in prefix order: an existential v whose preceding
+    universals in its own sentence are D is a table of selector atoms
+    (Var(v), ē + (d,)), "v is d at ē", with one at-least-one clause per
+    ē ∈ nᴰ.  A bound variable named like a predicate, a constant or another
+    sentence's existential is a ValueError.  A matrix clause becomes a plan
+    over integer slots: the universals it mentions, in prefix order, then
+    the tables it selects, each ranging over {0..n-1}; its instances are
+    the slot tuples in lexicographic order.  A disequality literal ¬(s=t)
+    keeps only instances with s=t, so the later slot is merged into the
+    earlier one, which keeps that order; an equality literal s=t keeps only
+    instances with s≠t.  The plan's literals are the clause's predicate
+    atoms, then one ¬selector guard per table it selects.  A literal is
+    (symbol, slot count, sign, argument slots...); the clauses that share
+    one share its id column."""
 
-    def __init__(self, pf: PrenexForm):
-        if not pf.is_sentence():
+    def __init__(self, *sentences: PrenexForm):
+        if not all(pf.is_sentence() for pf in sentences):
             raise ValueError("grounding requires a sentence")
-        self.pf = pf
-        self.predicates = pf.vocabulary.predicates
-        symbol: Dict[object, int] = {
-            name: i for i, (name, _) in enumerate(self.predicates)}
-        # (sign, predicate symbol or None for "=", argument terms), a
-        # variable keyed by its name so that no dataclass is hashed
-        matrix = [[_plan_literal(lit, symbol) for lit in clause]
-                  for clause in pf.matrix]
-        mentioned = {k for clause in matrix for _, _, ks in clause for k in ks}
-        deps: Dict[object, Tuple[str, ...]] = {
-            Const(c): () for c in pf.vocabulary.constants}
-        universals: List[str] = []
-        for q, v in pf.prefix:
-            if q == FORALL:
-                universals.append(v)
-            elif v in mentioned:
-                deps[v] = tuple(universals)
-        # (atom key symbol, number of universals it depends on, is constant)
-        self.tables = [(Var(k) if isinstance(k, str) else k, len(dep),
-                        not isinstance(k, str)) for k, dep in deps.items()]
-        guard = {}  # a table's selector arguments: its universals, itself
-        for k, dep in deps.items():
-            symbol[k] = len(symbol)
-            guard[k] = dep + (k,)
+        self.sentences = sentences
+        for (i, pf), (j, g) in itertools.product(enumerate(sentences), repeat=2):
+            for _, v in pf.prefix:
+                if (g.vocabulary.is_predicate(v) or g.vocabulary.is_constant(v)
+                        or i != j and (EXISTS, v) in g.prefix):
+                    raise ValueError(f"bound variable {v!r} names a symbol")
+        # (atom key head: a predicate's name, Const(c) or Var(v); arity)
+        self.symbols: List[Tuple[object, int]] = []
+        # the symbol of a predicate's name, a Const or an existential's name
+        symbol: Dict[object, int] = {}
         literals: Dict[Tuple[int, ...], int] = {}  # literal -> its number
         # (slot count, slot pairs that must differ, (how many slots those
         #  pairs mention, the pairs renumbered over only those slots),
         #  literal numbers)
-        self.clauses: List[Tuple[int, Tuple[Tuple[int, int], ...],
-                                 Tuple[int, Tuple[Tuple[int, int], ...]],
-                                 List[int]]] = []
-        for clause in matrix:
-            terms = set().union(*[ks for _, _, ks in clause])
-            chosen = [k for k in deps if k in terms]
-            need = terms.difference(deps)
-            need.update(*[deps[k] for k in chosen])
-            slots: List[object] = [u for u in universals if u in need]
-            slots += chosen
-            index = {k: i for i, k in enumerate(slots)}
-            eqs = [(sign, ks) for sign, sym, ks in clause if sym is None]
-            rep = list(range(len(slots)))  # the earliest slot equal to each
-            for sign, (s, t) in eqs:
-                if sign < 0:
-                    a, b = sorted((rep[index[s]], rep[index[t]]))
-                    rep = [a if r == b else r for r in rep]
-            free = sorted(set(rep))
-            if len(free) < len(slots):
-                index = {k: free.index(rep[i]) for k, i in index.items()}
-            diffs = tuple(sorted({tuple(sorted((index[s], index[t])))
-                                  for sign, (s, t) in eqs if sign > 0}))
-            seen = sorted({s for pair in diffs for s in pair})
-            local = tuple((seen.index(a), seen.index(b)) for a, b in diffs)
-            width, at = len(free), index.__getitem__
-            signed = [(sign, sym, ks) for sign, sym, ks in clause
-                      if sym is not None]
-            signed += [(-1, symbol[k], guard[k]) for k in chosen]
-            lits = [literals.setdefault((sym, width, sign, *map(at, ks)),
-                                        len(literals))
-                    for sign, sym, ks in signed]
-            self.clauses.append((width, diffs, (len(seen), local), lits))
+        self.clauses: List[Tuple] = []
+        for pf in sentences:
+            # (sign, predicate name or None for "=", argument terms), a
+            # variable keyed by its name so that no dataclass is hashed
+            matrix = [[_plan_literal(lit) for lit in clause]
+                      for clause in pf.matrix]
+            mentioned = {k for c in matrix for _, _, ks in c for k in ks}
+            deps: Dict[object, Tuple[str, ...]] = {
+                Const(c): () for c in pf.vocabulary.constants}
+            universals: List[str] = []
+            for q, v in pf.prefix:
+                if q == FORALL:
+                    universals.append(v)
+                elif v in mentioned:
+                    deps[v] = tuple(universals)
+            for k, arity in [*pf.vocabulary.predicates,
+                             *[(k, len(dep) + 1) for k, dep in deps.items()]]:
+                if k not in symbol:
+                    symbol[k] = len(self.symbols)
+                    head = Var(k) if k in deps and isinstance(k, str) else k
+                    self.symbols.append((head, arity))
+            # a table's selector arguments: its universals, itself
+            guard = {k: dep + (k,) for k, dep in deps.items()}
+            for clause in matrix:
+                terms = set().union(*[ks for _, _, ks in clause])
+                chosen = [k for k in deps if k in terms]
+                need = terms.difference(deps)
+                need.update(*[deps[k] for k in chosen])
+                slots: List[object] = [u for u in universals if u in need]
+                slots += chosen
+                index = {k: i for i, k in enumerate(slots)}
+                eqs = [(sign, ks) for sign, sym, ks in clause if sym is None]
+                rep = list(range(len(slots)))  # the earliest slot equal to each
+                for sign, (s, t) in eqs:
+                    if sign < 0:
+                        a, b = sorted((rep[index[s]], rep[index[t]]))
+                        rep = [a if r == b else r for r in rep]
+                free = sorted(set(rep))
+                if len(free) < len(slots):
+                    index = {k: free.index(rep[i]) for k, i in index.items()}
+                diffs = tuple(sorted({tuple(sorted((index[s], index[t])))
+                                      for sign, (s, t) in eqs if sign > 0}))
+                seen = sorted({s for pair in diffs for s in pair})
+                local = tuple((seen.index(a), seen.index(b)) for a, b in diffs)
+                width, at = len(free), index.__getitem__
+                signed = [(sign, symbol[sym], ks) for sign, sym, ks in clause
+                          if sym is not None]
+                signed += [(-1, symbol[k], guard[k]) for k in chosen]
+                lits = [literals.setdefault((sym, width, sign, *map(at, ks)),
+                                            len(literals))
+                        for sign, sym, ks in signed]
+                self.clauses.append((width, diffs, (len(seen), local), lits))
         self.literals = list(literals)
 
     def ground(self, n: int,
                node_cap: int = DEFAULT_NODE_CAP) -> Tuple[GroundCnf, AtomTable]:
-        """The CNF over the universe {0..n-1} and its atom table.  Every
-        predicate atom comes first, argument tuples ascending, so ids 1..A
-        are exactly the predicate atoms.  node_cap bounds the literals
-        emitted, each charge made before its lists are built, and then,
-        separately, A, checked before any atom is registered."""
+        """The CNF over the universe {0..n-1} and its atom table.  Each
+        symbol's atoms take consecutive ids, argument tuples ascending, so
+        over one sentence ids 1..A are exactly the predicate atoms.
+        node_cap bounds the literals emitted, each charge made before its
+        lists are built, and then, separately, the predicate atoms of every
+        sentence, checked before any atom is registered."""
         if n < 1:
             raise ValueError("universe must be nonempty")
-        # symbol -> id of its first atom, minus 1; each symbol has nᵃʳⁱᵗʸ
-        # atoms, and a table of arity r has n values in each of its nʳ rows
-        start = [0, *itertools.accumulate(
-            [n ** arity for _, arity in self.predicates]
-            + [n ** (arity + 1) for _, arity, _ in self.tables])]
+        # symbol -> id of its first atom, minus 1; a symbol of arity r has
+        # nʳ atoms, so a table has n values in each of its nʳ⁻¹ rows
+        start = [0, *itertools.accumulate(n ** arity
+                                          for _, arity in self.symbols)]
         cnf: GroundCnf = []
         emitted = 0
 
@@ -295,10 +304,13 @@ class FlatPlan:
             if emitted > node_cap:
                 raise CapExceeded("ground_flat literal cap", emitted, node_cap)
 
-        for sym, (_, arity, is_const) in enumerate(self.tables,
-                                                   len(self.predicates)):
-            rows = n ** arity
-            charge(rows * (n + (n * (n - 1) if is_const else 0)))
+        atoms = 0  # predicate atoms, registered only after the caps
+        for sym, (key, arity) in enumerate(self.symbols):
+            if isinstance(key, str):  # a predicate
+                atoms += n ** arity
+                continue
+            is_const = isinstance(key, Const)
+            charge(n ** (arity - 1) * (n + (n * (n - 1) if is_const else 0)))
             for row in range(start[sym] + 1, start[sym + 1] + 1, n):
                 cnf.append(list(range(row, row + n)))
                 if is_const:  # at most one value
@@ -357,27 +369,24 @@ class FlatPlan:
                 rows = itertools.compress(rows, differ(width, diffs))
             cnf.extend(map(list, rows))
 
-        atoms = start[len(self.predicates)]
         if atoms > node_cap:
             raise CapExceeded("ground_flat atom registration cap", atoms,
                               node_cap)
         table = AtomTable()
-        for key, arity in [*self.predicates,
-                           *[(k, a + 1) for k, a, _ in self.tables]]:
+        for key, arity in self.symbols:
             for args in itertools.product(range(n), repeat=arity):
                 table.id_of((key, args))
         return cnf, table
 
 
-def _plan_literal(lit: Literal, symbol: Mapping[object, int]
-                  ) -> Tuple[int, Optional[int], List[object]]:
+def _plan_literal(lit: Literal) -> Tuple[int, Optional[str], List[object]]:
     atom = lit.atom
     if isinstance(atom, Eq):
-        sym, args = None, (atom.left, atom.right)
+        pred, args = None, (atom.left, atom.right)
     else:
-        sym, args = symbol[atom.predicate], atom.args
+        pred, args = atom.predicate, atom.args
     keys = [t.name if isinstance(t, Var) else t for t in args]
-    return 1 if lit.positive else -1, sym, keys
+    return 1 if lit.positive else -1, pred, keys
 
 
 def ground_flat(pf: PrenexForm, n: int,
@@ -385,8 +394,6 @@ def ground_flat(pf: PrenexForm, n: int,
     """An equisatisfiable CNF for a PCNF sentence over the universe
     {0..n-1}, grounded clause by clause with no formula tree (see
     FlatPlan), compiled for this one size."""
-    if n < 1:
-        raise ValueError("universe must be nonempty")
     return FlatPlan(pf).ground(n, node_cap)
 
 

@@ -195,6 +195,20 @@ def test_bounded_equiv_matches_enumeration(seed, kind):
         assert evaluate(M, f) != evaluate(M, g)
 
 
+def test_bounded_equiv_fresh_names_avoid_bound_variables():
+    # ¬g's definition predicates are named D0, D1, ...; one named like the
+    # bound variable D0 once shared its symbol, and f ∧ ¬g read as UNSAT
+    d, a = Var("D0"), Var("a")
+    f = to_pcnf(Forall("D0", Forall("a", Or((P(d, a), Not(Eq(d, a)))))),
+                VOC_P2)
+    g = to_pcnf(Forall("D0", Forall("a", P(d, a))), VOC_P2)
+    assert [v for _, v in f.prefix] == ["D0", "a"]
+    res = bounded_equiv(f, g, 3)
+    assert not res.equivalent
+    M = res.countermodel
+    assert M.n == 2 and evaluate(M, f) != evaluate(M, g)
+
+
 def test_bounded_equiv_vocabulary_mismatch():
     with pytest.raises(ValueError):
         bounded_equiv(TOTAL_RELATION, EXAMPLE_C, 2)

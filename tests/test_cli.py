@@ -144,6 +144,15 @@ def test_equiv(capsys, tmp_path):
     assert code == 3 and "vocabular" in err  # vocabulary mismatch
 
 
+def test_equiv_variable_named_like_a_definition(capsys, tmp_path):
+    # a bound variable D0 must not share a symbol with ¬g's definition D0
+    f, g = tmp_path / "f.fol", tmp_path / "g.fol"
+    f.write_text("vocab P/2;\nforall D0. forall a. (P(D0,a) | D0 != a)")
+    g.write_text("vocab P/2;\nforall D0. forall a. P(D0,a)")
+    code, out, _ = run(capsys, "equiv", str(f), str(g), "--ncap", "3")
+    assert code == 1 and out.startswith("different")
+
+
 def test_ebs_oracle(capsys):
     code, obj, _ = run_json(capsys, "ebs-oracle", fol("example_c.fol"),
                             "--sigma", "Q", "--bound", "3", "--nmax", "2")

@@ -15,7 +15,8 @@ from ebsedp.groundsat import (AtomTable, FlatPlan, PAnd, PConst, PLit, PNot,
                               ground_flat, p_and, p_or, tseitin)
 from ebsedp.structures import (FiniteStructure, count_structures,
                                enumerate_structures, evaluate)
-from ebsedp.syntax import (And, Atom, Const, Eq, Exists, Forall, Not, Or, Var,
+from ebsedp.syntax import (EXISTS, FORALL, And, Atom, Const, Eq, Exists,
+                           Forall, Literal, Not, Or, PrenexForm, Var,
                            Vocabulary, to_pcnf)
 
 from corpus import (CONTRADICTION, EDP_EMPTY, EQ_CONGRUENCE, EQ_TRANSITIVITY,
@@ -301,7 +302,7 @@ def oracle_sat(pf, n):
     when there are few, else by grounding to a formula tree under each
     constant valuation."""
     voc = pf.vocabulary
-    if count_structures(voc, n) * n ** len(voc.constants) <= 512:
+    if count_structures(voc, n) <= 512:
         return brute_force_sat(pf, n)
     return any(dpll_solve(tseitin(ground_fixed_universe(
         pf, n, const_values=dict(zip(voc.constants, values)))[0])) is not None
@@ -347,6 +348,45 @@ def test_flat_plan_reuse_matches_fresh_grounding(pf, cap):
     for n in (3, 1, 4, 2):
         assert (flat_output(plan.ground, n, cap)
                 == flat_output(ground_flat, pf, n, cap)), (n, cap)
+
+
+def test_flat_plan_numbers_a_conjunction_sentence_by_sentence():
+    # f = ∀x∃y P(x,y) over P/2 and c; g = ∃z (Q(z) ∧ P(z,c)) adds Q
+    x, y, z, c = Var("x"), Var("y"), Var("z"), Const("c")
+    f = to_pcnf(Forall("x", Exists("y", Atom("P", (x, y)))), VOC_P2_C)
+    voc = Vocabulary((("P", 2), ("Q", 1)), ("c",))
+    g = to_pcnf(Exists("z", And((Atom("Q", (z,)), Atom("P", (z, c))))), voc)
+    cnf, table = FlatPlan(f, g).ground(2)
+    heads = [pred for _, (pred, _) in table.items()]
+    assert list(dict.fromkeys(heads)) == ["P", c, y, "Q", z]
+    model = dpll_solve(cnf)
+    interp = {name: frozenset(args for i, (pred, args) in table.items()
+                              if pred == name and model[i])
+              for name, _ in voc.predicates}
+    consts = {"c": next(d for d in range(2) if model[table.lookup((c, (d,)))])}
+    M = FiniteStructure(voc, 2, interp, consts)
+    assert evaluate(M, f) and evaluate(M, g)
+    # ¬∃z Q(z) leaves the conjunction no model
+    no_q = to_pcnf(Forall("w", Not(Atom("Q", (Var("w"),)))), voc)
+    assert dpll_solve(FlatPlan(f, g, no_q).ground(2)[0]) is None
+
+
+def test_flat_plan_rejects_names_it_would_share():
+    # a bound variable named like a predicate, a constant or another
+    # sentence's existential would take that symbol's atoms
+    voc = Vocabulary((("P", 1),), ("c",))
+
+    def sentence(q, v):
+        return PrenexForm(voc, ((q, v),), ((Literal(True, Atom("P", (Var(v),))),),))
+
+    for v in ("P", "c"):
+        for q in (EXISTS, FORALL):
+            with pytest.raises(ValueError, match=f"bound variable {v!r}"):
+                FlatPlan(sentence(q, v))
+    for q in (EXISTS, FORALL):
+        with pytest.raises(ValueError, match="bound variable 'x'"):
+            FlatPlan(sentence(EXISTS, "x"), sentence(q, "x"))
+    FlatPlan(sentence(FORALL, "x"), sentence(FORALL, "x"))  # no symbol
 
 
 def test_ground_flat_predicate_atoms_first():
