@@ -14,9 +14,9 @@ from ._dpll_py import Dpll
 from .edp import BoundReport
 from .errors import CapExceeded
 from .groundsat import (DEFAULT_NODE_CAP, AtomKey, AtomTable, FlatPlan,
-                        GroundLiteral, all_models, dpll_solve,
-                        ground_fixed_universe, ground_over_domain,
-                        literal_triples, tseitin)
+                        GroundLiteral, dpll_solve, ground_fixed_universe,
+                        ground_over_domain, literal_triples, model_blocks,
+                        tseitin)
 from .structures import FiniteStructure, count_structures, evaluate
 from .syntax import (EXISTS, FORALL, Atom, Const, Literal, PrenexForm, Term,
                      Var, Vocabulary, free_vars, substitute)
@@ -382,13 +382,26 @@ Reduct = Tuple[int, Tuple[Tuple[str, int], ...], FrozenSet[AtomKey]]
 
 
 def _model_stream(pf: PrenexForm, n: int, node_cap: int,
-                  sigma: Iterable[str] = ()
-                  ) -> Iterator[Tuple[Reduct, Callable[[], FiniteStructure]]]:
-    """Every model of pf with universe {0..n-1}, deterministically, as a
-    (σ-reduct, builder) pair: the reduct is read straight from the
-    solver's assignment, and builder() makes the model's structure.  The
-    models are enumerated on the formula tree's Tseitin CNF, once per
-    constant valuation."""
+                  sigma: Iterable[str] = (),
+                  passed: Optional[Set[Reduct]] = None
+                  ) -> Iterator[Tuple[Reduct, int,
+                                      Optional[Callable[[], FiniteStructure]]]]:
+    """Every model of pf with universe {0..n-1}, deterministically, in
+    blocks (σ-reduct, count, builder): the reduct is read straight from the
+    solver's assignment, and builder() makes the structure of a block of
+    one model.
+
+    The models are enumerated once per constant valuation on the formula
+    tree's Tseitin CNF.  Given passed, the reducts that already have a good
+    core (read live, so it may grow between blocks), the walk leaves the
+    root's unit out and reads the root off the kernel instead.  Every
+    auxiliary variable is a function of the atoms, so a subtree where
+    propagation has made the root true holds exactly 2^k models, k the
+    atoms left to branch on (the counting rule of Birnbaum & Lozinskii
+    1999).  Such a subtree is one block of count 2^k, with no builder for
+    k > 0, once its reduct is fixed, with no σ-atom left to branch on, and
+    in passed.  Every other model is a block of its own.  The blocks follow
+    the order of the models, each one a contiguous run of them."""
     keep = set(sigma)
     constants = pf.vocabulary.constants
     for chosen in itertools.product(range(n), repeat=len(constants)):
@@ -397,23 +410,39 @@ def _model_stream(pf: PrenexForm, n: int, node_cap: int,
         prop, table = ground_fixed_universe(pf, n, const_values=consts,
                                             node_cap=node_cap)
         # atoms the grounding never mentions are registered after it, so
-        # all_models gives them both values, innermost
+        # the walk gives them both values, innermost
         for name, arity in pf.vocabulary.predicates:
             for args in itertools.product(range(n), repeat=arity):
                 table.id_of((name, args))
         cnf = tseitin(prop, table)
+        root = None
+        if passed is not None and cnf and cnf[-1]:
+            # the walk reads the root instead of asserting it.  A true
+            # tree's [] has no root, and a false tree's [[]] no model;
+            # plain enumeration keeps the unit, since a root left out is
+            # propagated again on every branch
+            root = cnf.pop()[0]
         sigma_atoms = [(i, key) for i, key in table.items() if key[0] in keep]
-        for assignment in all_models(cnf, range(1, len(table) + 1)):
-            reduct = (n, values, frozenset(
+        # atoms are branched on by id, so the reduct is fixed from this depth
+        fixed = max((i for i, _ in sigma_atoms), default=0)
+
+        def reduct(assignment: Mapping[int, bool]) -> Reduct:
+            return (n, values, frozenset(
                 key for i, key in sigma_atoms if assignment[i]))
-            yield reduct, functools.partial(
+
+        def settled(assignment: Mapping[int, bool], depth: int) -> bool:
+            return depth >= fixed and reduct(assignment) in passed
+
+        for assignment, k in model_blocks(cnf, range(1, len(table) + 1), root,
+                                          None if passed is None else settled):
+            yield reduct(assignment), 2 ** k, None if k else functools.partial(
                 _model_to_structure, pf, n, table, assignment, consts)
 
 
 def _all_structure_models(pf: PrenexForm, n: int,
                           node_cap: int) -> Iterator[FiniteStructure]:
     """Every model of pf with universe {0..n-1}, deterministically."""
-    for _, build in _model_stream(pf, n, node_cap):
+    for _, _, build in _model_stream(pf, n, node_cap):
         yield build()
 
 
@@ -432,9 +461,11 @@ def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,
     on the size and the constant values, and each completion query on the
     σ-atoms inside its extension.  So each reduct is tested once, at its
     first model; a later model with a reduct that already has a good core
-    is counted toward models_checked and model_cap and is not built.  A
-    failing reduct returns at its first model, so the verdict, the failing
-    model and the evidence are those of testing every model in turn."""
+    is counted toward models_checked and model_cap and is not built, and
+    the model stream counts a whole subtree of such models as one block
+    without walking it.  A failing reduct returns at its first model, so
+    the verdict, the failing model and the evidence are those of testing
+    every model in turn."""
     sigma = tuple(sorted(set(sigma)))
     for p in sigma:
         if not pf.vocabulary.is_predicate(p):
@@ -480,10 +511,12 @@ def ebs_oracle(pf: PrenexForm, sigma: Iterable[str], B: int, nMax: int,
     passed: Set[Reduct] = set()
     checked = 0
     for n in range(1, nMax + 1):
-        for reduct, build in _model_stream(pf, n, node_cap, sigma):
-            checked += 1
+        for reduct, count, build in _model_stream(pf, n, node_cap, sigma,
+                                                  passed):
+            checked += count
             if checked > model_cap:
-                raise CapExceeded("oracle model cap", checked, model_cap)
+                # the (cap + 1)-th model lies in this block
+                raise CapExceeded("oracle model cap", model_cap + 1, model_cap)
             if reduct in passed:
                 continue
             M = build()

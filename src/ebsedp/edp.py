@@ -31,11 +31,6 @@ class Instance:
     roles: Tuple[str, ...]  # per argument position: free/universal/existential
 
     @property
-    def free_support(self) -> FrozenSet[str]:
-        return frozenset(t.name for t, r in zip(self.args, self.roles)
-                         if r == FREE and isinstance(t, Var))
-
-    @property
     def universal_support(self) -> FrozenSet[str]:
         return frozenset(t.name for t, r in zip(self.args, self.roles) if r == UNIVERSAL)
 

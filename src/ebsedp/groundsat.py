@@ -403,7 +403,13 @@ def ground_flat(pf: PrenexForm, n: int,
 def tseitin(p: PropFormula, table: Optional[AtomTable] = None) -> GroundCnf:
     """Equisatisfiable CNF; a model restricted to original atoms models p.
     Auxiliary variables are numbered after the table's atoms (or after the
-    largest mentioned atom when no table is given)."""
+    largest mentioned atom when no table is given).
+
+    A constant tree gives [] when true and [[]] when false.  Otherwise the
+    last clause is the unit [root], root being a literal, and the clauses
+    before it define every auxiliary variable from the atoms, both ways,
+    so that they propagate to one value of each under every assignment of
+    the atoms."""
     if isinstance(p, PConst):
         return [] if p.value else [[]]
     if table is not None:
@@ -468,27 +474,65 @@ def all_models(cnf: Sequence[Sequence[int]],
     assumes and propagates (a conflict prunes only model-free subtrees),
     each leaf searches for an extension.  A leaf's search learns clauses
     that follow from cnf alone, so later leaves keep them.  Variables
-    outside cnf take both values."""
+    outside cnf take both values.  This is model_blocks with no root and
+    nothing settled."""
+    for model, _ in model_blocks(cnf, projection):
+        yield model
+
+
+def model_blocks(cnf: Sequence[Sequence[int]], projection: Iterable[int],
+                 root: Optional[int] = None,
+                 settled: Optional[Callable[[Dict[int, bool], int], bool]] = None
+                 ) -> Iterator[Tuple[Dict[int, bool], int]]:
+    """all_models' walk over the models of cnf ∧ root, in blocks: pairs
+    (assignment, k), where the assignment sets the first len(projection) - k
+    projection variables and every one of its 2^k extensions is a model.
+
+    With no root and no settled test every block is one model, k = 0.  A
+    root is a literal kept out of cnf and read off the walk: a subtree where
+    it is false is skipped.  A subtree where it is true (always, when root
+    is None) and settled(assignment, depth) holds is one block.  The block
+    rule needs cnf to define every other variable from the projection, as
+    tseitin's definitions do, so that each extension of the projection
+    extends to exactly one model of cnf, by propagation alone."""
+    proj = sorted(set(projection))
     state = _dpll_py.Dpll(cnf)
-    if state.ok:
-        index = dict(zip(state.ids, state.variables))
-        yield from _extend(state, sorted(set(projection)), index, {}, 0)
+    index = dict(zip(state.ids, state.variables))
+    if root is not None and abs(root) not in index:
+        # a root the clauses never mention: define a fresh variable as it,
+        # so that the kernel reads the root
+        r = max(proj + state.ids + [abs(root)]) + 1
+        yield from model_blocks([*cnf, [-r, root], [r, -root]], proj, r,
+                                settled)
+    elif state.ok:
+        if root is not None:
+            root = index[root] if root > 0 else -index[-root]
+        yield from _extend(state, proj, index, {}, 0, root, settled)
 
 
 def _extend(state: _dpll_py.Dpll, proj: List[int], index: Dict[int, int],
-            assign: Dict[int, bool], i: int) -> Iterator[Dict[int, bool]]:
+            assign: Dict[int, bool], i: int, root: Optional[int],
+            settled: Optional[Callable[[Dict[int, bool], int], bool]]
+            ) -> Iterator[Tuple[Dict[int, bool], int]]:
     # a module-level generator, not a closure, so that no reference cycle
-    # keeps the kernel state alive after enumeration ends
+    # keeps the kernel state alive after enumeration ends; root is a kernel
+    # literal, and its val entry is truthy while it is true
+    value = True if root is None else state.val[root]
+    if value is False:
+        return
+    if value and settled is not None and settled(assign, i):
+        yield dict(assign), len(proj) - i
+        return
     if i == len(proj):
         if state.search():
-            yield dict(assign)
+            yield dict(assign), 0
         return
     v = proj[i]
     mark = len(state.trail)
     for value in (False, True):
         if v not in index or state.assume(index[v] if value else -index[v]):
             assign[v] = value
-            yield from _extend(state, proj, index, assign, i + 1)
+            yield from _extend(state, proj, index, assign, i + 1, root, settled)
         state.undo(mark)
     assign.pop(v, None)
 

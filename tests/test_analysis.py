@@ -17,9 +17,9 @@ from ebsedp.syntax import (EXISTS, FORALL, And, Atom, Const, Eq, Exists,
                            Forall, Not, Or, Var, Vocabulary, to_pcnf)
 
 from corpus import (ALL_EQUAL, CONTRADICTION, DAG, EQ_CONGRUENCE,
-                    EQ_TRANSITIVITY, EVEN_MATCHING, EVEN_ORDER, EXAMPLE_B,
-                    EXAMPLE_C, TOTAL_RELATION, TWO_ELEMENTS, VOC_P2, P,
-                    random_sentence)
+                    EQ_TRANSITIVITY, EVEN_MATCHING, EVEN_ORDER, EXAMPLE_A,
+                    EXAMPLE_B, EXAMPLE_C, TOTAL_RELATION, TWO_ELEMENTS,
+                    VOC_P2, P, random_sentence)
 
 
 # -- bounded satisfiability ------------------------------------------------
@@ -261,6 +261,23 @@ def test_ebs_oracle_caps_and_validation():
     assert exact.passed and exact.models_checked == 353
 
 
+def test_ebs_oracle_cap_inside_a_block():
+    # every cap is exceeded at its (cap + 1)-th model, wherever that falls
+    # in a block of counted models
+    for cap in range(354):
+        try:
+            verdict = ebs_oracle(TOTAL_RELATION, (), 2, 3, model_cap=cap)
+        except CapExceeded as err:
+            assert (err.needed, err.cap) == (cap + 1, cap)
+        else:
+            assert cap == 353 and verdict.models_checked == 353
+    # σ = ∅ gives EXAMPLE_A one reduct per size, so the cap falls in a
+    # block of size-3 models that are counted without being walked
+    with pytest.raises(CapExceeded) as err:
+        ebs_oracle(EXAMPLE_A, (), 2, 3)
+    assert (err.value.needed, err.value.cap) == (200_001, 200_000)
+
+
 def _brute_ebs(pf, sigma, B, nMax):
     """The oracle's verdict from exhaustive enumeration alone: the models
     of size <= nMax, and those with no good core of size <= B."""
@@ -293,8 +310,22 @@ def _brute_ebs(pf, sigma, B, nMax):
     return models, bad
 
 
-@pytest.mark.parametrize("pf", [TOTAL_RELATION, TWO_ELEMENTS, EXAMPLE_C],
-                         ids=["total", "two", "example_c"])
+# in the model c=0, Q={0,2}, the extension {0,1} has Q only at c, so no
+# completion with c=0 models the sentence; one that moved c to 1 would
+_x, _y, _z, _w, _c = Var("x"), Var("y"), Var("z"), Var("w"), Const("c")
+Q_AWAY_FROM_C = to_pcnf(Or((Forall("y", Forall("z", Eq(_y, _z))),
+                            Exists("x", And((Not(Eq(_x, _c)),
+                                             Atom("Q", (_x,))))),
+                            Forall("w", Not(Atom("Q", (_w,)))))),
+                        Vocabulary((("Q", 1),), ("c",)))
+
+
+# EXAMPLE_B and Q_AWAY_FROM_C count passed models in blocks under
+# equalities and constants
+@pytest.mark.parametrize("pf", [TOTAL_RELATION, TWO_ELEMENTS, EXAMPLE_C,
+                                EXAMPLE_B, Q_AWAY_FROM_C],
+                         ids=["total", "two", "example_c", "example_b",
+                              "q_away_from_c"])
 def test_ebs_oracle_matches_brute_force(pf):
     preds = [p for p, _ in pf.vocabulary.predicates]
     for k in range(len(preds) + 1):
@@ -313,15 +344,8 @@ def test_ebs_oracle_matches_brute_force(pf):
 
 
 def test_ebs_oracle_keeps_constants_in_place():
-    # in the model c=0, Q={0,2}, the extension {0,1} has Q only at c, so no
-    # completion with c=0 models the sentence; one that moved c to 1 would
-    x, y, z, w, c = Var("x"), Var("y"), Var("z"), Var("w"), Const("c")
-    pf = to_pcnf(Or((Forall("y", Forall("z", Eq(y, z))),
-                     Exists("x", And((Not(Eq(x, c)), Atom("Q", (x,))))),
-                     Forall("w", Not(Atom("Q", (w,)))))),
-                 Vocabulary((("Q", 1),), ("c",)))
-    got = ebs_oracle(pf, ("Q",), 1, 3)
-    _, bad = _brute_ebs(pf, ("Q",), 1, 3)
+    got = ebs_oracle(Q_AWAY_FROM_C, ("Q",), 1, 3)
+    _, bad = _brute_ebs(Q_AWAY_FROM_C, ("Q",), 1, 3)
     assert not got.passed
     assert got.fail_model.to_json() in bad
 

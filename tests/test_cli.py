@@ -4,6 +4,7 @@ import os
 
 import jsonschema
 import pytest
+from referencing import Registry, Resource
 
 from ebsedp import schemas
 from ebsedp.cli import main
@@ -27,12 +28,10 @@ def run_json(capsys, *argv):
 
 
 def validate(obj, schema_name):
-    schema = schemas.load(schema_name)
-    resolver = jsonschema.validators.RefResolver(
-        base_uri="", referrer=schema,
-        store={s.get("$id", n): s for n, s in schemas.load_all().items()
-               for s in [s] for n in [n]})
-    jsonschema.validate(obj, schema, resolver=resolver)
+    registry = Registry().with_resources(
+        (s.get("$id", n), Resource.from_contents(s))
+        for n, s in schemas.load_all().items())
+    jsonschema.validate(obj, schemas.load(schema_name), registry=registry)
 
 
 # -- happy paths -----------------------------------------------------------

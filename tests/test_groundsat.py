@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_dpll
 from ebsedp import _dpll_py
@@ -12,7 +12,7 @@ from ebsedp.errors import CapExceeded
 from ebsedp.groundsat import (AtomTable, FlatPlan, PAnd, PConst, PLit, PNot,
                               POr, all_models, bsr_ground, dpll_solve,
                               export_dimacs, ground_fixed_universe,
-                              ground_flat, p_and, p_or, tseitin)
+                              ground_flat, model_blocks, p_and, p_or, tseitin)
 from ebsedp.structures import (FiniteStructure, count_structures,
                                enumerate_structures, evaluate)
 from ebsedp.syntax import (EXISTS, FORALL, And, Atom, Const, Eq, Exists,
@@ -199,17 +199,21 @@ def test_kernel_selection_reported():
 
 # -- tseitin ---------------------------------------------------------------
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_tseitin_equisatisfiable(data):
+def props():
+    """Formula trees over atoms 1..4."""
     lit = st.integers(1, 4).flatmap(lambda v: st.sampled_from([PLit(v), PLit(-v)]))
-    prop = data.draw(st.recursive(
+    return st.recursive(
         st.one_of(lit, st.booleans().map(PConst)),
         lambda sub: st.one_of(
             sub.map(PNot),
             st.lists(sub, min_size=1, max_size=3).map(p_and),
             st.lists(sub, min_size=1, max_size=3).map(p_or)),
-        max_leaves=12))
+        max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prop=props())
+def test_tseitin_equisatisfiable(prop):
     cnf = tseitin(prop)
     model = dpll_solve(cnf)
     brute = any(eval_prop(prop, dict(zip(range(1, 5), bits)))
@@ -522,6 +526,33 @@ def test_all_models_learns_across_leaves(monkeypatch):
         got = list(all_models(cnf, projection))
         assert got == list(reference_dpll.all_models(cnf, projection)), seed
     assert sum(state.conflicts for state in states) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(prop=props(), depth=st.integers(0, 5))
+@example(prop=PConst(True), depth=0)
+@example(prop=PConst(False), depth=0)
+@example(prop=PLit(-3), depth=2)
+@example(prop=PNot(p_or([PLit(1), PLit(-4)])), depth=1)
+def test_model_blocks_are_runs_of_all_models(prop, depth):
+    # roots: true and false trees, bare atoms the definitions never
+    # mention, and negative literals
+    table = AtomTable()
+    for v in range(1, 5):
+        table.id_of(("P", (v,)))
+    cnf = tseitin(prop, table)
+    want = list(all_models(cnf, range(1, 5)))
+    defs, root = (cnf[:-1], cnf[-1][0]) if cnf and cnf[-1] else (cnf, None)
+    # with the root read off the walk and nothing settled: one model a block
+    assert list(model_blocks(defs, range(1, 5), root)) == [(m, 0) for m in want]
+    # settled from depth on: each block is the next 2^k models, in order
+    rest = iter(want)
+    for partial, k in model_blocks(defs, range(1, 5), root,
+                                   lambda assign, i: i >= depth):
+        run = list(itertools.islice(rest, 2 ** k))
+        assert len(run) == 2 ** k and len(partial) == 4 - k
+        assert all(m.items() >= partial.items() for m in run)
+    assert next(rest, None) is None
 
 
 @pytest.mark.parametrize("cnf,projection,want", [
