@@ -392,15 +392,15 @@ def _model_stream(pf: PrenexForm, n: int, node_cap: int,
     one model.
 
     The models are enumerated once per constant valuation on the formula
-    tree's Tseitin CNF.  Given passed, the reducts that already have a good
-    core (read live, so it may grow between blocks), the walk leaves the
-    root's unit out and reads the root off the kernel instead.  Every
-    auxiliary variable is a function of the atoms, so a subtree where
-    propagation has made the root true holds exactly 2^k models, k the
-    atoms left to branch on (the counting rule of Birnbaum & Lozinskii
-    1999).  Such a subtree is one block of count 2^k, with no builder for
-    k > 0, once its reduct is fixed, with no σ-atom left to branch on, and
-    in passed.  Every other model is a block of its own.  The blocks follow
+    tree's Tseitin CNF, with the root's unit left out: the walk reads the
+    root off the kernel instead.  Every auxiliary variable is a function
+    of the atoms, so a subtree where propagation has made the root true
+    holds exactly 2^k models, k the atoms left to branch on (the counting
+    rule of Birnbaum & Lozinskii 1999).  Given passed, the reducts that
+    already have a good core (read live, so it may grow between blocks),
+    such a subtree is one block of count 2^k, with no builder for k > 0,
+    once its reduct is fixed, with no σ-atom left to branch on, and in
+    passed.  Every other model is a block of its own.  The blocks follow
     the order of the models, each one a contiguous run of them."""
     keep = set(sigma)
     constants = pf.vocabulary.constants
@@ -415,13 +415,9 @@ def _model_stream(pf: PrenexForm, n: int, node_cap: int,
             for args in itertools.product(range(n), repeat=arity):
                 table.id_of((name, args))
         cnf = tseitin(prop, table)
-        root = None
-        if passed is not None and cnf and cnf[-1]:
-            # the walk reads the root instead of asserting it.  A true
-            # tree's [] has no root, and a false tree's [[]] no model;
-            # plain enumeration keeps the unit, since a root left out is
-            # propagated again on every branch
-            root = cnf.pop()[0]
+        # the walk reads the root instead of asserting it.  A true tree's
+        # [] has no root, and a false tree's [[]] no model
+        root = cnf.pop()[0] if cnf and cnf[-1] else None
         sigma_atoms = [(i, key) for i, key in table.items() if key[0] in keep]
         # atoms are branched on by id, so the reduct is fixed from this depth
         fixed = max((i for i, _ in sigma_atoms), default=0)
