@@ -5,10 +5,12 @@ Times the naive reference (tests/reference_dpll.py) and the pure-Python
 watched-literal kernel, and prints the kernel's decisions, conflicts and
 learned literals.  Instances: seeded random 3-CNF near the satisfiability
 phase transition, Tseitin CNFs of first-order corpus sentences, and flat
-CNFs (ground_flat).  Both return the lexicographically greatest model, so
-assignments are compared bit for bit; a mismatch exits 1.  The naive
-reference stalls on the last flat rows, so those run the kernel alone and
-check its model, if any, against every clause.
+CNFs (FlatPlan.ground), each also with the domain symmetry broken
+(symmetric=True, marked "sym"), as spectrum grounds them.  Both solvers
+return the lexicographically greatest model, so assignments are compared
+bit for bit; a mismatch exits 1.  The naive reference stalls on the last
+flat rows, so those run the kernel alone and check its model, if any,
+against every clause.
 
 Usage: python benchmarks/bench_dpll.py [--seed N] [--repeat N]
 """
@@ -24,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import reference_dpll
 from ebsedp import _dpll_py
-from ebsedp.groundsat import ground_fixed_universe, ground_flat, tseitin
+from ebsedp.groundsat import FlatPlan, ground_fixed_universe, tseitin
 
 
 def random_3cnf(rng, n_vars, ratio=4.2):
@@ -52,9 +54,15 @@ def ground_instances():
 def flat_instances():
     """(name, CNF, whether the reference runs too)."""
     from corpus import EVEN_ORDER, QR_STALL
-    return [("flat even-order n=5", ground_flat(EVEN_ORDER, 5)[0], True),
-            ("flat qr-stall n=3", ground_flat(QR_STALL, 3)[0], False),
-            ("flat even-order n=7", ground_flat(EVEN_ORDER, 7)[0], False)]
+    out = []
+    for name, pf, n, with_reference in (("even-order n=5", EVEN_ORDER, 5, True),
+                                        ("qr-stall n=3", QR_STALL, 3, False),
+                                        ("even-order n=7", EVEN_ORDER, 7, False)):
+        plan = FlatPlan(pf)
+        out += [(f"flat {name}", plan.ground(n)[0], with_reference),
+                (f"flat sym {name}", plan.ground(n, symmetric=True)[0],
+                 with_reference)]
+    return out
 
 
 def bench(fn, cnf, repeat):

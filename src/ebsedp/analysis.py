@@ -117,9 +117,11 @@ def _model_to_structure(pf: PrenexForm, n: int, table: AtomTable,
 def _flat_model(pf: PrenexForm, n: int, table: AtomTable,
                 assignment: Mapping[int, bool]) -> FiniteStructure:
     """The structure a satisfying assignment of a flat grounding of pf
-    describes: each constant's value is its one true selector."""
+    describes: each constant's value is its one true selector.  A
+    selector that a restricted grounding cuts is in no clause, so not in
+    the assignment, and reads false."""
     consts = {c: next(d for d in range(n)
-                      if assignment[table.lookup((Const(c), (d,)))])
+                      if assignment.get(table.lookup((Const(c), (d,))), False))
               for c in pf.vocabulary.constants}
     return _model_to_structure(pf, n, table, assignment, consts)
 
@@ -127,9 +129,10 @@ def _flat_model(pf: PrenexForm, n: int, table: AtomTable,
 def _sat_at_size(plan: FlatPlan, n: int,
                  node_cap: int = DEFAULT_NODE_CAP) -> Optional[FiniteStructure]:
     """A model of the plan's sentence with universe exactly {0..n-1}, or
-    None."""
+    None: the greatest model (see dpll_solve) of the grounding with the
+    domain symmetry broken, since every element is interchangeable here."""
     pf, = plan.sentences
-    cnf, table = plan.ground(n, node_cap)
+    cnf, table = plan.ground(n, node_cap, symmetric=True)
     assignment = dpll_solve(cnf)
     if assignment is None:
         return None
@@ -143,7 +146,8 @@ def decide_sat_bounded(pf: PrenexForm, B: int,
                        node_cap: int = DEFAULT_NODE_CAP) -> SatOutcome:
     """SAT iff some structure of size ≤ max(B,1) models pf.  Complete only
     under a bounded-model guarantee for pf (e.g. a membership bound B).
-    node_cap bounds the ground literals of each size's flat grounding;
+    node_cap bounds the ground literals of each size's flat grounding,
+    with the domain symmetry broken as in spectrum;
     CapExceeded ("ground_flat literal cap") when one needs more."""
     if B < 0:
         raise ValueError("bound must be nonnegative")
@@ -250,8 +254,9 @@ def interleaved_sat(pf: PrenexForm,
     """Alternate finite-model search at growing sizes with Herbrand-style
     refutation search at growing term depths; budget = (max model size, max
     ground-term depth, max steps).  Steps cap the ground literals of each
-    model-search size and the ground clauses and terms of each refutation
-    depth.  UNKNOWN absorbs every exhaustion."""
+    model-search size, grounded with the domain symmetry broken as in
+    spectrum, and the ground clauses and terms of each refutation depth.
+    UNKNOWN absorbs every exhaustion."""
     n_max, depth_max, step_max = budget
     # only model search needs the plan, and only it requires a sentence
     plan = FlatPlan(pf) if n_max > 0 else None
@@ -285,9 +290,12 @@ def interleaved_sat(pf: PrenexForm,
 
 def spectrum(pf: PrenexForm, nMax: int,
              node_cap: int = DEFAULT_NODE_CAP) -> SpectrumResult:
-    """Which sizes 1..nMax have a model, with one witness per size.
-    node_cap bounds the ground literals of each size's flat grounding;
-    CapExceeded ("ground_flat literal cap") when one needs more."""
+    """Which sizes 1..nMax have a model, with one witness per size: the
+    greatest model of the size's flat grounding with the domain symmetry
+    broken (FlatPlan.ground(n, symmetric=True)), so the j-th constant or
+    leading existential takes a value ≤ j.  node_cap bounds the ground
+    literals of that grounding; CapExceeded ("ground_flat literal cap")
+    when one needs more."""
     if nMax < 1:
         raise ValueError("nMax must be positive")
     plan = FlatPlan(pf)

@@ -8,10 +8,11 @@ export."""
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 from . import _dpll_py
 from .errors import CapExceeded
@@ -21,6 +22,8 @@ DEFAULT_NODE_CAP = 1_000_000
 DEFAULT_CLAUSE_CAP = 1_000_000
 
 GroundCnf = List[List[int]]
+# the instances of r slots of n values each, or one range per slot
+Shape = Union[int, Tuple[int, ...]]
 AtomKey = Tuple[str, Tuple]  # (predicate or "=", argument tuple)
 
 
@@ -208,7 +211,26 @@ class FlatPlan:
     instances with s≠t.  The plan's literals are the clause's predicate
     atoms, then one ¬selector guard per table it selects.  A literal is
     (symbol, slot count, sign, argument slots...); the clauses that share
-    one share its id column."""
+    one share its id column.
+
+    ground(n, symmetric=True) breaks the symmetry of the universe (the
+    constant ordering of Claessen & Sörensson 2003, Mace4's least-number
+    rule in McCune 2003).  The 0-ary tables, the constants and the
+    existentials with no universal before them, are ordered across the
+    sentences in symbol order, and the j-th of them (from 0) gets only the
+    values {0..min(j, n-1)}: its at-least-one clause, and a constant's
+    at-most-one clauses, cover only that range, and a clause instance that
+    puts a restricted slot past its range is not emitted, since the false
+    selector it guards on satisfies it.  So a model of the restricted CNF,
+    with the cut selectors false, is a model of the full one.  Conversely,
+    relabel any model by first occurrence: walk the 0-ary tables in order
+    and send each value not met before to the least element not yet used.
+    The j-th table's value then goes to one of at most j + 1 elements,
+    {0..j}; the permutation carries the predicates and every Skolem table
+    with it, so the relabelled structure is a model in range.  Every atom
+    is still registered, so ids do not change; the cut selectors occur in
+    no clause.  This holds only where every element is interchangeable,
+    not where atoms are pinned."""
 
     def __init__(self, *sentences: PrenexForm):
         if not all(pf.is_sentence() for pf in sentences):
@@ -223,10 +245,13 @@ class FlatPlan:
         self.symbols: List[Tuple[object, int]] = []
         # the symbol of a predicate's name, a Const or an existential's name
         symbol: Dict[object, int] = {}
+        # a 0-ary table's symbol -> its place among the 0-ary tables
+        self.rank: Dict[int, int] = {}
         literals: Dict[Tuple[int, ...], int] = {}  # literal -> its number
-        # (slot count, slot pairs that must differ, (how many slots those
-        #  pairs mention, the pairs renumbered over only those slots),
-        #  literal numbers)
+        # (slot count, slot pairs that must differ, (the slots those pairs
+        #  mention, the pairs renumbered over only those slots), literal
+        #  numbers, (rank, slot) pairs of the 0-ary tables it selects,
+        #  ascending)
         self.clauses: List[Tuple] = []
         for pf in sentences:
             # (sign, predicate name or None for "=", argument terms), a
@@ -248,6 +273,8 @@ class FlatPlan:
                     symbol[k] = len(self.symbols)
                     head = Var(k) if k in deps and isinstance(k, str) else k
                     self.symbols.append((head, arity))
+                    if k in deps and not deps[k]:
+                        self.rank[symbol[k]] = len(self.rank)
             # a table's selector arguments: its universals, itself
             guard = {k: dep + (k,) for k, dep in deps.items()}
             for clause in matrix:
@@ -278,17 +305,21 @@ class FlatPlan:
                 lits = [literals.setdefault((sym, width, sign, *map(at, ks)),
                                             len(literals))
                         for sign, sym, ks in signed]
-                self.clauses.append((width, diffs, (len(seen), local), lits))
+                ranks = sorted([(self.rank[symbol[k]], index[k])
+                                for k in chosen if symbol[k] in self.rank])
+                self.clauses.append((width, diffs, (seen, local), lits, ranks))
         self.literals = list(literals)
 
-    def ground(self, n: int,
-               node_cap: int = DEFAULT_NODE_CAP) -> Tuple[GroundCnf, AtomTable]:
+    def ground(self, n: int, node_cap: int = DEFAULT_NODE_CAP,
+               symmetric: bool = False) -> Tuple[GroundCnf, AtomTable]:
         """The CNF over the universe {0..n-1} and its atom table.  Each
         symbol's atoms take consecutive ids, argument tuples ascending, so
         over one sentence ids 1..A are exactly the predicate atoms.
         node_cap bounds the literals emitted, each charge made before its
         lists are built, and then, separately, the predicate atoms of every
-        sentence, checked before any atom is registered."""
+        sentence, checked before any atom is registered.  symmetric
+        restricts the 0-ary tables' values (see the class), which leaves
+        the CNF equisatisfiable, not equivalent."""
         if n < 1:
             raise ValueError("universe must be nonempty")
         # symbol -> id of its first atom, minus 1; a symbol of arity r has
@@ -310,63 +341,103 @@ class FlatPlan:
                 atoms += n ** arity
                 continue
             is_const = isinstance(key, Const)
-            charge(n ** (arity - 1) * (n + (n * (n - 1) if is_const else 0)))
+            values = n
+            if symmetric and sym in self.rank:
+                values = min(self.rank[sym] + 1, n)
+            charge(n ** (arity - 1)
+                   * (values + (values * (values - 1) if is_const else 0)))
             for row in range(start[sym] + 1, start[sym + 1] + 1, n):
-                cnf.append(list(range(row, row + n)))
+                cnf.append(list(range(row, row + values)))
                 if is_const:  # at most one value
                     cnf.extend([-a, -b] for a, b in
-                               itertools.combinations(range(row, row + n), 2))
+                               itertools.combinations(range(row, row + values), 2))
 
-        # columns over the nʳ instances of r slots, each built once
-        digits: Dict[Tuple[int, int, int], List[int]] = {}
+        # columns over the instances of r slots, by literal, and over
+        # restricted slots, by radices and then literal, each built once.  A
+        # shape is r, for r slots of n values each, or a restricted clause's
+        # radices, one range per slot
+        digits: Dict[Tuple[Shape, int, int], List[int]] = {}
         columns: List[Optional[List[int]]] = [None] * len(self.literals)
-        masks: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], List[bool]] = {}
+        restricted: Dict[Tuple[int, ...], List[Optional[List[int]]]] = {}
+        masks: Dict[Tuple[Shape, Tuple[Tuple[int, int], ...]], List[bool]] = {}
 
-        def digit(r: int, i: int, w: int = 1) -> List[int]:
-            # w · (the value of slot i)
-            key = (r, i, w)
+        def digit(shape: Shape, i: int, w: int = 1) -> List[int]:
+            # w · (the value of slot i), instances in lexicographic order
+            key = (shape, i, w)
             if key not in digits:
+                if type(shape) is int:
+                    values, inner, outer = n, n ** (shape - 1 - i), n ** i
+                else:
+                    values = shape[i]
+                    inner, outer = math.prod(shape[i + 1:]), math.prod(shape[:i])
                 digits[key] = list(itertools.chain.from_iterable(
-                    itertools.repeat(w * d, n ** (r - 1 - i))
-                    for d in range(n))) * n ** i
+                    itertools.repeat(w * d, inner)
+                    for d in range(values))) * outer
             return digits[key]
 
-        def column(lit: int) -> List[int]:
+        def column(lit: int, shape: Shape,
+                   cache: List[Optional[List[int]]]) -> List[int]:
             # the literal's signed atom id: its symbol's first id plus the
             # values of the argument slots read as a base-n numeral
-            sym, r, sign, *args = self.literals[lit]
+            sym, _, sign, *args = self.literals[lit]
             weights: Dict[int, int] = {}
             w = sign
             for s in reversed(args):
                 weights[s] = weights.get(s, 0) + w
                 w *= n
-            col = [sign * (start[sym] + 1)] * n ** r
+            size = n ** shape if type(shape) is int else math.prod(shape)
+            col = [sign * (start[sym] + 1)] * size
             for s, w in weights.items():
-                col = list(map(operator.add, col, digit(r, s, w)))
-            columns[lit] = col
+                col = list(map(operator.add, col, digit(shape, s, w)))
+            cache[lit] = col
             return col
 
-        def differ(r: int, pairs: Tuple[Tuple[int, int], ...]) -> List[bool]:
+        def differ(shape: Shape,
+                   pairs: Tuple[Tuple[int, int], ...]) -> List[bool]:
             # whether every pair of slots differs
-            if (r, pairs) not in masks:
-                keep: Iterable[bool] = itertools.repeat(True, n ** r)
+            if (shape, pairs) not in masks:
+                size = n ** shape if type(shape) is int else math.prod(shape)
+                keep: Iterable[bool] = itertools.repeat(True, size)
                 for a, b in pairs:
-                    keep = map(operator.and_, keep,
-                               map(operator.ne, digit(r, a), digit(r, b)))
-                masks[(r, pairs)] = list(keep)
-            return masks[(r, pairs)]
+                    keep = map(operator.and_, keep, map(
+                        operator.ne, digit(shape, a), digit(shape, b)))
+                masks[(shape, pairs)] = list(keep)
+            return masks[(shape, pairs)]
 
-        for width, diffs, (seen, local), lits in self.clauses:
-            count = n ** width
-            if diffs:  # counted over only the slots that they mention
-                count = sum(differ(seen, local)) * n ** (width - seen)
-            charge(count * len(lits))
-            if not count:
-                continue
-            cols = [columns[lit] or column(lit) for lit in lits]
-            rows = zip(*cols) if cols else itertools.repeat((), n ** width)
+        for width, diffs, (seen, local), lits, ranks in self.clauses:
+            if symmetric and ranks and ranks[0][0] + 1 < n:
+                # a restricted slot takes fewer than n values
+                radices = [n] * width
+                for j, s in ranks:
+                    radices[s] = min(radices[s], j + 1)
+                shape = tuple(radices)
+                count = math.prod(shape)
+                if diffs:  # counted over only the slots that they mention
+                    sub = tuple(shape[s] for s in seen)
+                    count = sum(differ(sub, local)) * count // math.prod(sub)
+                charge(count * len(lits))
+                if not count:
+                    continue
+                cache = restricted.get(shape)
+                if cache is None:
+                    cache = restricted[shape] = [None] * len(self.literals)
+                # a guard on a restricted table: at least one literal
+                rows = zip(*[cache[lit] or column(lit, shape, cache)
+                             for lit in lits])
+            else:
+                shape = width
+                count = n ** width
+                if diffs:  # counted over only the slots that they mention
+                    count = (sum(differ(len(seen), local))
+                             * n ** (width - len(seen)))
+                charge(count * len(lits))
+                if not count:
+                    continue
+                cols = [columns[lit] or column(lit, width, columns)
+                        for lit in lits]
+                rows = zip(*cols) if cols else itertools.repeat((), n ** width)
             if diffs:
-                rows = itertools.compress(rows, differ(width, diffs))
+                rows = itertools.compress(rows, differ(shape, diffs))
             cnf.extend(map(list, rows))
 
         if atoms > node_cap:
@@ -387,14 +458,6 @@ def _plan_literal(lit: Literal) -> Tuple[int, Optional[str], List[object]]:
         pred, args = atom.predicate, atom.args
     keys = [t.name if isinstance(t, Var) else t for t in args]
     return 1 if lit.positive else -1, pred, keys
-
-
-def ground_flat(pf: PrenexForm, n: int,
-                node_cap: int = DEFAULT_NODE_CAP) -> Tuple[GroundCnf, AtomTable]:
-    """An equisatisfiable CNF for a PCNF sentence over the universe
-    {0..n-1}, grounded clause by clause with no formula tree (see
-    FlatPlan), compiled for this one size."""
-    return FlatPlan(pf).ground(n, node_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +524,11 @@ def _max_atom(p: PropFormula) -> int:
 # Solving and model enumeration
 
 def dpll_solve(cnf: Sequence[Sequence[int]]) -> Optional[Dict[int, bool]]:
-    """SAT: total assignment over mentioned atoms; UNSAT: None."""
+    """SAT: total assignment over mentioned atoms, the lexicographically
+    greatest model of cnf (variables ascending, true above false); UNSAT:
+    None.  On a grounding with the domain symmetry broken
+    (FlatPlan.ground(n, symmetric=True)) that is the greatest model of the
+    restricted CNF, which need not be the greatest of the full one."""
     return _dpll_py.solve(cnf)
 
 

@@ -13,8 +13,8 @@ from ebsedp.analysis import (SAT, _all_structure_models, bounded_equiv,
                              decide_sat_bounded, ebs_oracle, spectrum)
 from ebsedp.bmc import TransitionSystem, bmc_solve
 from ebsedp.edp import classify, edp_bound, edp_check
-from ebsedp.groundsat import (bsr_ground, dpll_solve, ground_fixed_universe,
-                              ground_flat, tseitin)
+from ebsedp.groundsat import (FlatPlan, bsr_ground, dpll_solve,
+                              ground_fixed_universe, tseitin)
 from ebsedp.parse import parse_problem
 from ebsedp.repair import edp_core, edp_extend
 from ebsedp.structures import (FiniteStructure, count_structures,
@@ -282,7 +282,7 @@ def test_criterion_8_engine_cross_checks():
     flat_cnfs = 0
     for pf in SENTENCES:
         for n in (1, 2):
-            cnf, _ = ground_flat(pf, n, node_cap=NODE_CAP)
+            cnf, _ = FlatPlan(pf).ground(n, node_cap=NODE_CAP)
             if len({abs(l) for cl in cnf for l in cl}) > 16:
                 continue
             assert (dpll_solve(cnf) is not None) == _truth_table_sat(cnf)

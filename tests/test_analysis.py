@@ -11,12 +11,15 @@ from ebsedp.analysis import (NCAP_NOTE, SAT, UNKNOWN, UNSAT, SatOutcome,
                              interleaved_sat, spectrum)
 from ebsedp.edp import classify, edp_bound
 from ebsedp.errors import CapExceeded
+from ebsedp.groundsat import FlatPlan, dpll_solve
 from ebsedp.structures import (count_structures, enumerate_structures,
                                evaluate, generated_substructure, restrict_eq)
 from ebsedp.syntax import (EXISTS, FORALL, And, Atom, Const, Eq, Exists,
-                           Forall, Not, Or, Var, Vocabulary, to_pcnf)
+                           Forall, Not, Or, PrenexForm, Var, Vocabulary,
+                           to_pcnf)
+from ebsedp.translate import to_bsr_equispectral
 
-from corpus import (ALL_EQUAL, CONTRADICTION, DAG, EQ_CONGRUENCE,
+from corpus import (ALL_EQUAL, CONTRADICTION, DAG, EDP_EMPTY, EQ_CONGRUENCE,
                     EQ_TRANSITIVITY, EVEN_MATCHING, EVEN_ORDER, EXAMPLE_A,
                     EXAMPLE_B, EXAMPLE_C, TOTAL_RELATION, TWO_ELEMENTS,
                     VOC_P2, P, random_sentence)
@@ -125,6 +128,43 @@ def test_spectrum_gap():
     # the alternating-order variant agrees, odd-size refutations included
     assert (spectrum(EVEN_ORDER, 4, node_cap=10_000_000).sizes() == (2, 4))
     assert spectrum(EVEN_ORDER, 6).sizes() == (2, 4, 6)
+
+
+def corpus_sentences():
+    """Every sentence tests/corpus.py defines, once each, in order."""
+    import corpus
+    found = [v for v in vars(corpus).values() if isinstance(v, PrenexForm)]
+    found += [*corpus.EDP_EMPTY, *corpus.BSR,
+              *(pf for pf, _ in corpus.TRANSLATE)]
+    return list(dict.fromkeys(found))
+
+
+def edp_psi(pf):
+    return to_bsr_equispectral(pf, edp_bound(classify(pf)).B).bsr
+
+
+@pytest.mark.parametrize("pf", [*corpus_sentences(),
+                                *map(edp_psi, EDP_EMPTY)])
+def test_spectrum_keeps_sizes_under_symmetry_breaking(pf):
+    # spectrum grounds with the domain symmetry broken; the full grounding
+    # must find the same sizes, and each witness is checked by evaluate
+    got = spectrum(pf, 4, node_cap=10_000_000)
+    plan = FlatPlan(pf)
+    assert got.realizable == tuple(
+        dpll_solve(plan.ground(n, 10_000_000)[0]) is not None
+        for n in range(1, 5))
+    assert all(evaluate(M, pf) and M.n == n for n, M in got.witnesses.items())
+
+
+def test_symmetry_breaking_shrinks_psi_grounding():
+    # ψ(EXAMPLE_A) opens with exists^4: at n=4 a matrix clause keeps only
+    # the instances whose leading existentials are in range
+    plan = FlatPlan(edp_psi(EDP_EMPTY[0]))
+    sizes = {}
+    for symmetric in (False, True):
+        cnf, table = plan.ground(4, symmetric=symmetric)
+        sizes[symmetric] = (len(cnf), sum(map(len, cnf)), len(table))
+    assert sizes == {False: (20_740, 255_760, 64), True: (2_164, 26_578, 64)}
 
 
 def test_spectrum_validation():

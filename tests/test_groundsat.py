@@ -12,7 +12,7 @@ from ebsedp.errors import CapExceeded
 from ebsedp.groundsat import (AtomTable, FlatPlan, PAnd, PConst, PLit, PNot,
                               POr, all_models, bsr_ground, dpll_solve,
                               export_dimacs, ground_fixed_universe,
-                              ground_flat, model_blocks, p_and, p_or, tseitin)
+                              model_blocks, p_and, p_or, tseitin)
 from ebsedp.structures import (FiniteStructure, count_structures,
                                enumerate_structures, evaluate)
 from ebsedp.syntax import (EXISTS, FORALL, And, Atom, Const, Eq, Exists,
@@ -186,10 +186,22 @@ def test_kernel_learns_past_free_predicate_atoms():
     # conflict counts are deterministic where times are not: learning needs
     # 16 conflicts at n=4, chronological backtracking stalls at n=3
     assert spectrum(QR_STALL, 4).sizes() == (1, 2, 3, 4)
-    state = _dpll_py.Dpll(ground_flat(QR_STALL, 4)[0])
+    state = _dpll_py.Dpll(FlatPlan(QR_STALL).ground(4)[0])
     assert state.search()
     assert 0 < state.conflicts <= 100
     assert state.decisions > 0 and state.learned_literals > 0
+
+
+def test_symmetry_breaking_cuts_kernel_work():
+    # refuting EVEN_ORDER at n=5 (u, v range over {0}, {0,1}): the full
+    # grounding needs 227 conflicts, the restricted one 20
+    conflicts = {}
+    for symmetric in (False, True):
+        state = _dpll_py.Dpll(FlatPlan(EVEN_ORDER).ground(
+            5, symmetric=symmetric)[0])
+        assert not state.search()
+        conflicts[symmetric] = state.conflicts
+    assert 0 < 5 * conflicts[True] < conflicts[False], conflicts
 
 
 def test_kernel_selection_reported():
@@ -287,17 +299,17 @@ def brute_force_sat(pf, n):
 
 def test_ground_flat_requires_sentence_and_universe():
     with pytest.raises(ValueError):
-        ground_flat(TOTAL_RELATION, 0)
+        FlatPlan(TOTAL_RELATION).ground(0)
     pf = to_pcnf(Atom("P", (Var("x"), Var("x"))), VOC_P2, ("x",))
     with pytest.raises(ValueError):
-        ground_flat(pf, 2)
+        FlatPlan(pf).ground(2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ground_flat_sat_matches_semantics(n):
     for pf in (TOTAL_RELATION, CONTRADICTION, TWO_ELEMENTS, EXAMPLE_C,
                SUCC_NOT_C):
-        cnf, _ = ground_flat(pf, n)
+        cnf, _ = FlatPlan(pf).ground(n)
         assert (dpll_solve(cnf) is not None) == brute_force_sat(pf, n), (pf, n)
 
 
@@ -313,23 +325,43 @@ def oracle_sat(pf, n):
         for values in itertools.product(range(n), repeat=len(voc.constants)))
 
 
+def decoded(pf, n, table, model):
+    """The structure that the predicate atoms and the constants' selectors
+    of a flat grounding's model describe; a selector in no clause is not
+    in the model, and reads false."""
+    voc = pf.vocabulary
+    consts = {c: next(d for d in range(n)
+                      if model.get(table.lookup((Const(c), (d,))), False))
+              for c in voc.constants}
+    interp = {name: frozenset(args for i, (pred, args) in table.items()
+                              if pred == name and model.get(i, False))
+              for name, _ in voc.predicates}
+    return FiniteStructure(voc, n, interp, consts)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
 def test_ground_flat_matches_brute_force(seed, n):
     pf = random_sentence(random.Random(seed))
-    cnf, table = ground_flat(pf, n)
+    cnf, table = FlatPlan(pf).ground(n)
     model = dpll_solve(cnf)
     assert (model is not None) == oracle_sat(pf, n), pf
     if model is not None:
         # the predicate atoms and the constants' selectors alone are a model
-        voc = pf.vocabulary
-        consts = {c: next(d for d in range(n)
-                          if model[table.lookup((Const(c), (d,)))])
-                  for c in voc.constants}
-        interp = {name: frozenset(args for i, (pred, args) in table.items()
-                                  if pred == name and model.get(i, False))
-                  for name, _ in voc.predicates}
-        assert evaluate(FiniteStructure(voc, n, interp, consts), pf)
+        assert evaluate(decoded(pf, n, table, model), pf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+def test_symmetric_grounding_matches_brute_force(seed, n):
+    # the j-th constant or leading existential ranges over {0..j}: the CNF
+    # stays equisatisfiable, and its models still decode to models
+    pf = random_sentence(random.Random(seed))
+    cnf, table = FlatPlan(pf).ground(n, symmetric=True)
+    model = dpll_solve(cnf)
+    assert (model is not None) == oracle_sat(pf, n), pf
+    if model is not None:
+        assert evaluate(decoded(pf, n, table, model), pf)
 
 
 def flat_output(ground, *args):
@@ -351,7 +383,7 @@ def test_flat_plan_reuse_matches_fresh_grounding(pf, cap):
     plan = FlatPlan(pf)
     for n in (3, 1, 4, 2):
         assert (flat_output(plan.ground, n, cap)
-                == flat_output(ground_flat, pf, n, cap)), (n, cap)
+                == flat_output(FlatPlan(pf).ground, n, cap)), (n, cap)
 
 
 def test_flat_plan_numbers_a_conjunction_sentence_by_sentence():
@@ -395,14 +427,14 @@ def test_flat_plan_rejects_names_it_would_share():
 
 def test_ground_flat_predicate_atoms_first():
     n = 2
-    _, table = ground_flat(EXAMPLE_C, n)
+    _, table = FlatPlan(EXAMPLE_C).ground(n)
     want = [(name, args) for name, arity in EXAMPLE_C.vocabulary.predicates
             for args in itertools.product(range(n), repeat=arity)]
     keys = [key for _, key in table.items()]
     assert keys[:len(want)] == want
     assert all(not isinstance(pred, str) for pred, _ in keys[len(want):])
     # a constant's selectors: one value exactly
-    cnf, table = ground_flat(SUCC_NOT_C, 3)
+    cnf, table = FlatPlan(SUCC_NOT_C).ground(3)
     sel = [table.lookup((Const("c"), (d,))) for d in range(3)]
     assert sel in cnf
     assert all([-a, -b] in cnf for a, b in itertools.combinations(sel, 2))
@@ -410,7 +442,7 @@ def test_ground_flat_predicate_atoms_first():
 
 def test_ground_flat_literal_cap():
     with pytest.raises(CapExceeded, match="ground_flat literal cap"):
-        ground_flat(EXAMPLE_C, 5, node_cap=10)
+        FlatPlan(EXAMPLE_C).ground(5, node_cap=10)
 
 
 def test_ground_flat_equalities_keep_instance_order():
@@ -420,11 +452,11 @@ def test_ground_flat_equalities_keep_instance_order():
     pf = to_pcnf(Forall("x", Forall("y", Forall("z", Or((
         Not(Eq(x, z)), Eq(x, y), Atom("P", (y, z))))))), VOC_P2)
     for n in (2, 3, 4):
-        cnf, table = ground_flat(pf, n)
+        cnf, table = FlatPlan(pf).ground(n)
         assert cnf == [[table.lookup(("P", (b, a)))] for a, b in
                        itertools.product(range(n), repeat=2) if a != b]
         with pytest.raises(CapExceeded, match=f"needs {n * (n - 1)}, "):
-            ground_flat(pf, n, node_cap=n * (n - 1) - 1)
+            FlatPlan(pf).ground(n, node_cap=n * (n - 1) - 1)
 
 
 def test_ground_flat_caps_before_allocating():
@@ -439,7 +471,7 @@ def test_ground_flat_caps_before_allocating():
     try:
         with pytest.raises(CapExceeded,
                            match=f"literal cap: needs {3 * 40 ** 6}, "):
-            ground_flat(pf, 40)
+            FlatPlan(pf).ground(40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
