@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
 from . import _dpll_py
 from .errors import CapExceeded
@@ -22,8 +22,6 @@ DEFAULT_NODE_CAP = 1_000_000
 DEFAULT_CLAUSE_CAP = 1_000_000
 
 GroundCnf = List[List[int]]
-# the instances of r slots of n values each, or one range per slot
-Shape = Union[int, Tuple[int, ...]]
 AtomKey = Tuple[str, Tuple]  # (predicate or "=", argument tuple)
 
 
@@ -347,35 +345,33 @@ class FlatPlan:
             charge(n ** (arity - 1)
                    * (values + (values * (values - 1) if is_const else 0)))
             for row in range(start[sym] + 1, start[sym + 1] + 1, n):
-                cnf.append(list(range(row, row + values)))
+                allowed = range(row, row + values)
+                cnf.append(list(allowed))
                 if is_const:  # at most one value
                     cnf.extend([-a, -b] for a, b in
-                               itertools.combinations(range(row, row + values), 2))
+                               itertools.combinations(allowed, 2))
 
-        # columns over the instances of r slots, by literal, and over
-        # restricted slots, by radices and then literal, each built once.  A
-        # shape is r, for r slots of n values each, or a restricted clause's
-        # radices, one range per slot
-        digits: Dict[Tuple[Shape, int, int], List[int]] = {}
-        columns: List[Optional[List[int]]] = [None] * len(self.literals)
-        restricted: Dict[Tuple[int, ...], List[Optional[List[int]]]] = {}
-        masks: Dict[Tuple[Shape, Tuple[Tuple[int, int], ...]], List[bool]] = {}
+        # columns and masks over the instances of slots with the given
+        # ranges (a shape), each built once.  Without symmetric every slot
+        # ranges over n values; with it a slot of the j-th 0-ary table ranges
+        # over min(j + 1, n)
+        digits: Dict[Tuple[Tuple[int, ...], int, int], List[int]] = {}
+        columns: Dict[Tuple[int, ...], List[Optional[List[int]]]] = {}
+        masks: Dict[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]],
+                    List[bool]] = {}
 
-        def digit(shape: Shape, i: int, w: int = 1) -> List[int]:
+        def digit(shape: Tuple[int, ...], i: int, w: int = 1) -> List[int]:
             # w · (the value of slot i), instances in lexicographic order
             key = (shape, i, w)
-            if key not in digits:
-                if type(shape) is int:
-                    values, inner, outer = n, n ** (shape - 1 - i), n ** i
-                else:
-                    values = shape[i]
-                    inner, outer = math.prod(shape[i + 1:]), math.prod(shape[:i])
-                digits[key] = list(itertools.chain.from_iterable(
+            got = digits.get(key)
+            if got is None:
+                inner, outer = math.prod(shape[i + 1:]), math.prod(shape[:i])
+                got = digits[key] = list(itertools.chain.from_iterable(
                     itertools.repeat(w * d, inner)
-                    for d in range(values))) * outer
-            return digits[key]
+                    for d in range(shape[i]))) * outer
+            return got
 
-        def column(lit: int, shape: Shape,
+        def column(lit: int, shape: Tuple[int, ...], size: int,
                    cache: List[Optional[List[int]]]) -> List[int]:
             # the literal's signed atom id: its symbol's first id plus the
             # values of the argument slots read as a base-n numeral
@@ -385,19 +381,17 @@ class FlatPlan:
             for s in reversed(args):
                 weights[s] = weights.get(s, 0) + w
                 w *= n
-            size = n ** shape if type(shape) is int else math.prod(shape)
             col = [sign * (start[sym] + 1)] * size
             for s, w in weights.items():
                 col = list(map(operator.add, col, digit(shape, s, w)))
             cache[lit] = col
             return col
 
-        def differ(shape: Shape,
+        def differ(shape: Tuple[int, ...],
                    pairs: Tuple[Tuple[int, int], ...]) -> List[bool]:
             # whether every pair of slots differs
             if (shape, pairs) not in masks:
-                size = n ** shape if type(shape) is int else math.prod(shape)
-                keep: Iterable[bool] = itertools.repeat(True, size)
+                keep: Iterable[bool] = itertools.repeat(True, math.prod(shape))
                 for a, b in pairs:
                     keep = map(operator.and_, keep, map(
                         operator.ne, digit(shape, a), digit(shape, b)))
@@ -405,37 +399,25 @@ class FlatPlan:
             return masks[(shape, pairs)]
 
         for width, diffs, (seen, local), lits, ranks in self.clauses:
-            if symmetric and ranks and ranks[0][0] + 1 < n:
-                # a restricted slot takes fewer than n values
-                radices = [n] * width
-                for j, s in ranks:
+            shape = (n,) * width
+            if symmetric and ranks:
+                radices = list(shape)
+                for j, s in ranks:  # ¬(c=d) puts two tables in one slot
                     radices[s] = min(radices[s], j + 1)
                 shape = tuple(radices)
-                count = math.prod(shape)
-                if diffs:  # counted over only the slots that they mention
-                    sub = tuple(shape[s] for s in seen)
-                    count = sum(differ(sub, local)) * count // math.prod(sub)
-                charge(count * len(lits))
-                if not count:
-                    continue
-                cache = restricted.get(shape)
-                if cache is None:
-                    cache = restricted[shape] = [None] * len(self.literals)
-                # a guard on a restricted table: at least one literal
-                rows = zip(*[cache[lit] or column(lit, shape, cache)
-                             for lit in lits])
-            else:
-                shape = width
-                count = n ** width
-                if diffs:  # counted over only the slots that they mention
-                    count = (sum(differ(len(seen), local))
-                             * n ** (width - len(seen)))
-                charge(count * len(lits))
-                if not count:
-                    continue
-                cols = [columns[lit] or column(lit, width, columns)
-                        for lit in lits]
-                rows = zip(*cols) if cols else itertools.repeat((), n ** width)
+            count = size = math.prod(shape)
+            if diffs:  # counted over only the slots that they mention
+                sub = tuple([shape[s] for s in seen])
+                count = sum(differ(sub, local)) * size // math.prod(sub)
+            charge(count * len(lits))
+            if not count:
+                continue
+            cache = columns.get(shape)
+            if cache is None:
+                cache = columns[shape] = [None] * len(self.literals)
+            cols = [cache[lit] or column(lit, shape, size, cache)
+                    for lit in lits]
+            rows = zip(*cols) if cols else itertools.repeat((), size)
             if diffs:
                 rows = itertools.compress(rows, differ(shape, diffs))
             cnf.extend(map(list, rows))

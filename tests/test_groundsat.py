@@ -339,28 +339,18 @@ def decoded(pf, n, table, model):
     return FiniteStructure(voc, n, interp, consts)
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
-def test_ground_flat_matches_brute_force(seed, n):
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       symmetric=st.booleans())
+def test_ground_flat_matches_brute_force(seed, n, symmetric):
+    # with symmetric, the j-th constant or leading existential ranges over
+    # {0..j}: the CNF stays equisatisfiable, and its models still decode
     pf = random_sentence(random.Random(seed))
-    cnf, table = FlatPlan(pf).ground(n)
+    cnf, table = FlatPlan(pf).ground(n, symmetric=symmetric)
     model = dpll_solve(cnf)
     assert (model is not None) == oracle_sat(pf, n), pf
     if model is not None:
         # the predicate atoms and the constants' selectors alone are a model
-        assert evaluate(decoded(pf, n, table, model), pf)
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
-def test_symmetric_grounding_matches_brute_force(seed, n):
-    # the j-th constant or leading existential ranges over {0..j}: the CNF
-    # stays equisatisfiable, and its models still decode to models
-    pf = random_sentence(random.Random(seed))
-    cnf, table = FlatPlan(pf).ground(n, symmetric=True)
-    model = dpll_solve(cnf)
-    assert (model is not None) == oracle_sat(pf, n), pf
-    if model is not None:
         assert evaluate(decoded(pf, n, table, model), pf)
 
 
