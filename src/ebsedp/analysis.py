@@ -39,7 +39,7 @@ class SatOutcome:
     def to_json_dict(self) -> dict:
         out = {"verdict": self.verdict, "effort": dict(sorted(self.effort.items()))}
         if self.model is not None:
-            out["model"] = _structure_obj(self.model)
+            out["model"] = self.model.to_json_dict()
         return out
 
 
@@ -86,17 +86,12 @@ class EbsVerdict:
         out = {"pass": self.passed, "sigma": list(self.sigma), "B": self.B,
                "nMax": self.nMax, "modelsChecked": self.models_checked}
         if self.fail_model is not None:
-            out["failModel"] = _structure_obj(self.fail_model)
+            out["failModel"] = self.fail_model.to_json_dict()
             out["failExtension"] = list(self.fail_extension or ())
             out["coreEvidence"] = [
                 {"core": list(core), "extension": list(ext)}
                 for core, ext in self.core_evidence]
         return out
-
-
-def _structure_obj(M: FiniteStructure) -> dict:
-    import json
-    return json.loads(M.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +143,7 @@ def decide_sat_bounded(pf: PrenexForm, B: int,
     under a bounded-model guarantee for pf (e.g. a membership bound B).
     node_cap bounds the ground literals of each size's flat grounding,
     with the domain symmetry broken as in spectrum;
-    CapExceeded ("ground_flat literal cap") when one needs more."""
+    CapExceeded ("flat grounding literal cap") when one needs more."""
     if B < 0:
         raise ValueError("bound must be nonnegative")
     if not pf.is_sentence():
@@ -294,7 +289,7 @@ def spectrum(pf: PrenexForm, nMax: int,
     greatest model of the size's flat grounding with the domain symmetry
     broken (FlatPlan.ground(n, symmetric=True)), so the j-th constant or
     leading existential takes a value ≤ j.  node_cap bounds the ground
-    literals of that grounding; CapExceeded ("ground_flat literal cap")
+    literals of that grounding; CapExceeded ("flat grounding literal cap")
     when one needs more."""
     if nMax < 1:
         raise ValueError("nMax must be positive")
@@ -365,7 +360,7 @@ def bounded_equiv(f: PrenexForm, g: PrenexForm, nCap: int,
     (bounded stand-in for full validity of f ↔ g, which is undecidable).
     Each size solves f ∧ ¬g, then g ∧ ¬f, each one FlatPlan over both
     sentences; node_cap bounds each conjunction's grounding (CapExceeded,
-    "ground_flat ... cap")."""
+    "flat grounding ... cap")."""
     if f.vocabulary != g.vocabulary:
         raise ValueError("sentences must share a vocabulary")
     sides = [FlatPlan(f, _negation(g, f)), FlatPlan(g, _negation(f, g))]

@@ -157,7 +157,7 @@ def _cmd_equiv(args) -> int:
                  "note": result.note}
     text = "equivalent" if result.equivalent else "different"
     if result.countermodel is not None:
-        obj["countermodel"] = json.loads(result.countermodel.to_json())
+        obj["countermodel"] = result.countermodel.to_json_dict()
         text += "\n" + result.countermodel.to_json()
     _emit(args, obj, text)
     return EXIT_OK if result.equivalent else EXIT_FAIL

@@ -4,10 +4,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .syntax import (And, Atom, Const, Eq, Formula, Or, PrenexForm, Term, Var,
-                     Vocabulary, all_var_names, substitute)
+from .syntax import (And, Const, Eq, Formula, Or, PrenexForm, Term, Var,
+                     Vocabulary)
 
 FREE = "free"
 UNIVERSAL = "universal"
@@ -381,42 +381,6 @@ def edp_bound(c: Classification, variant: str = "base") -> BoundReport:
 # ---------------------------------------------------------------------------
 # Closure combinators
 
-def _standardize_apart(f: Formula, avoid: Set[str]) -> Formula:
-    """Rename every variable of f away from `avoid`."""
-    mapping: Dict[str, Term] = {}
-    used = set(avoid) | all_var_names(f)
-    for v in sorted(all_var_names(f)):
-        if v in avoid:
-            i = 1
-            while f"{v}_{i}" in used:
-                i += 1
-            new = f"{v}_{i}"
-            used.add(new)
-            mapping[v] = Var(new)
-    if not mapping:
-        return f
-    return _rename_all(f, mapping)
-
-
-def _rename_all(f: Formula, mapping: Dict[str, Term]) -> Formula:
-    from .syntax import Exists, Forall, Iff, Implies, Not
-    if isinstance(f, (Atom, Eq)):
-        return substitute(f, mapping)
-    if isinstance(f, Not):
-        return Not(_rename_all(f.sub, mapping))
-    if isinstance(f, (And, Or)):
-        return type(f)(tuple(_rename_all(a, mapping) for a in f.args))
-    if isinstance(f, (Implies, Iff)):
-        return type(f)(_rename_all(f.left, mapping),
-                       _rename_all(f.right, mapping))
-    if isinstance(f, (Forall, Exists)):
-        var = f.var
-        if var in mapping:
-            var = mapping[var].name
-        return type(f)(var, _rename_all(f.body, mapping))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def combine_and(f1: Formula, b1: int, sigma1: Iterable[str],
                 f2: Formula, b2: int, sigma2: Iterable[str],
                 vocab: Vocabulary) -> Tuple[Formula, BoundReport, Tuple[str, ...]]:
@@ -427,16 +391,14 @@ def combine_and(f1: Formula, b1: int, sigma1: Iterable[str],
     if s1 != full or s2 != full:
         raise ValueError("conjunction closure requires sigma = full predicate set "
                          "on both sides")
-    g2 = _standardize_apart(f2, all_var_names(f1))
     report = BoundReport("combine-and", b1 + b2, {"B1": b1, "B2": b2})
-    return And((f1, g2)), report, tuple(sorted(full))
+    return And((f1, f2)), report, tuple(sorted(full))
 
 
 def combine_or(f1: Formula, b1: int, sigma1: Iterable[str],
                f2: Formula, b2: int, sigma2: Iterable[str],
                vocab: Vocabulary) -> Tuple[Formula, BoundReport, Tuple[str, ...]]:
     """Disjunction closure: bound max(B1,B2), σ = σ1 ∩ σ2."""
-    g2 = _standardize_apart(f2, all_var_names(f1))
     report = BoundReport("combine-or", max(b1, b2), {"B1": b1, "B2": b2})
     sigma = tuple(sorted(set(sigma1) & set(sigma2)))
-    return Or((f1, g2)), report, sigma
+    return Or((f1, f2)), report, sigma

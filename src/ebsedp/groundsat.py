@@ -331,7 +331,7 @@ class FlatPlan:
             nonlocal emitted
             emitted += literals
             if emitted > node_cap:
-                raise CapExceeded("ground_flat literal cap", emitted, node_cap)
+                raise CapExceeded("flat grounding literal cap", emitted, node_cap)
 
         atoms = 0  # predicate atoms, registered only after the caps
         for sym, (key, arity) in enumerate(self.symbols):
@@ -423,7 +423,7 @@ class FlatPlan:
             cnf.extend(map(list, rows))
 
         if atoms > node_cap:
-            raise CapExceeded("ground_flat atom registration cap", atoms,
+            raise CapExceeded("flat grounding atom registration cap", atoms,
                               node_cap)
         table = AtomTable()
         for key, arity in self.symbols:

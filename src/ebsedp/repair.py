@@ -14,8 +14,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .edp import classify, edp_check
 from .errors import RepairInternalError
-from .structures import (FiniteStructure, SubsetWitness, _eval_matrix,
-                         _eval_prenex, evaluate, generated_substructure)
+from .structures import (FiniteStructure, SubsetWitness, _eval_prenex,
+                         evaluate, generated_substructure)
 from .syntax import FORALL, PrenexForm, Term, Var
 
 
@@ -107,31 +107,15 @@ def edp_extend(pf: PrenexForm, sigma: Iterable[str], M: FiniteStructure,
     if core.vacuous or evaluate(M2, pf):
         return M2
 
+    _check_witness(pf, M, core.witness)
     c = classify(pf)
-    V = pf.leftmost_exists
-    base_assign = dict(zip(V, core.witness))
+    base_assign = dict(zip(pf.leftmost_exists, core.witness))
     prefix = pf.prefix
-    base_i = len(V)
+    base_i = len(base_assign)
 
-    # deterministic least-value witness functions for the inner existentials,
-    # respecting the quantifier dependencies in M
+    # M's least witness for each inner existential, keyed by its position
+    # and the values bound before it
     choices: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-
-    def sat_from(i: int, vals: Tuple[int, ...]) -> bool:
-        if i == len(prefix):
-            a = dict(base_assign)
-            a.update({prefix[base_i + j][1]: vals[j] for j in range(len(vals))})
-            return _eval_matrix(M, pf, a)
-        if prefix[i][0] == FORALL:
-            return all(sat_from(i + 1, vals + (e,)) for e in range(M.n))
-        for d in range(M.n):
-            if sat_from(i + 1, vals + (d,)):
-                choices[(i, vals)] = d
-                return True
-        return False
-
-    if not sat_from(base_i, ()):
-        raise ValueError("M does not model the sentence with the core's witness")
 
     eu = set(c.EU)
     eubar = set(c.EUbar)
@@ -152,15 +136,16 @@ def edp_extend(pf: PrenexForm, sigma: Iterable[str], M: FiniteStructure,
         z_of = dict(zip(av_vars, Z))
         # walk the prefix to recover M's witness values under this Z
         m_vals = dict(base_assign)
-        vals: Tuple[int, ...] = ()
         for i in range(base_i, len(prefix)):
             q, v = prefix[i]
             if q == FORALL:
-                val = z_of[v]
-            else:
-                val = choices[(i, vals)]
-            m_vals[v] = val
-            vals = vals + (val,)
+                m_vals[v] = z_of[v]
+                continue
+            key = (i, tuple(m_vals.values()))
+            if key not in choices:
+                choices[key] = next(d for d in range(M.n) if _eval_prenex(
+                    M, pf, i + 1, {**m_vals, v: d}))
+            m_vals[v] = choices[key]
         sel_vals = {v: (selector(v, d) if v in eu or v in eubar else d)
                     for v, d in m_vals.items()}
 

@@ -51,14 +51,16 @@ class FiniteStructure:
     def universe(self) -> range:
         return range(self.n)
 
-    def to_json(self) -> str:
-        obj = {
+    def to_json_dict(self) -> dict:
+        return {
             "n": self.n,
             "pred": {name: sorted(list(t) for t in tuples)
                      for name, tuples in sorted(self.interpretation.items())},
             "const": dict(sorted(self.constant_values.items())),
         }
-        return json.dumps(obj, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @staticmethod
     def from_json(text: str, vocab: Vocabulary) -> "FiniteStructure":
@@ -139,26 +141,21 @@ def _eval_formula(M: FiniteStructure, f: Formula, a: Dict[str, int]) -> bool:
 
 
 def _eval_prenex(M: FiniteStructure, pf: PrenexForm, i: int, a: Dict[str, int]) -> bool:
-    """Truth of pf's prefix from position i on, with its matrix, under a."""
+    """Truth of pf's prefix from position i on, with its matrix, under a.
+    Binds each prefix variable in a in place and removes it again."""
     if i == len(pf.prefix):
-        return _eval_matrix(M, pf, a)
+        return all(any(_eval_formula(M, lit.atom, a) == lit.positive for lit in clause)
+                   for clause in pf.matrix)
     q, v = pf.prefix[i]
-    if q == FORALL:
-        return all(_eval_prenex(M, pf, i + 1, {**a, v: e}) for e in range(M.n))
-    return any(_eval_prenex(M, pf, i + 1, {**a, v: e}) for e in range(M.n))
-
-
-def _eval_matrix(M: FiniteStructure, pf: PrenexForm, a: Mapping[str, int]) -> bool:
-    return all(any(_eval_literal(M, lit, a) for lit in clause) for clause in pf.matrix)
-
-
-def _eval_literal(M: FiniteStructure, lit, a: Mapping[str, int]) -> bool:
-    atom = lit.atom
-    if isinstance(atom, Eq):
-        value = _eval_term(atom.left, M, a) == _eval_term(atom.right, M, a)
-    else:
-        value = M.holds(atom.predicate, tuple(_eval_term(t, M, a) for t in atom.args))
-    return value if lit.positive else not value
+    want = q == FORALL
+    result = want
+    for e in range(M.n):
+        a[v] = e
+        if _eval_prenex(M, pf, i + 1, a) != want:
+            result = not want
+            break
+    del a[v]
+    return result
 
 
 def generated_substructure(M: FiniteStructure, subset: Iterable[int]

@@ -102,7 +102,7 @@ def test_interleaved_sat_absorbs_caps():
 
 
 def test_model_search_cap_names_its_layer():
-    with pytest.raises(CapExceeded, match="ground_flat literal cap"):
+    with pytest.raises(CapExceeded, match="flat grounding literal cap"):
         spectrum(EXAMPLE_C, 5, node_cap=10)
     # size 1 needs 9 ground literals: model search hits the cap at every size
     out = interleaved_sat(EXAMPLE_C, (5, 0, 8))

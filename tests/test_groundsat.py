@@ -431,7 +431,7 @@ def test_ground_flat_predicate_atoms_first():
 
 
 def test_ground_flat_literal_cap():
-    with pytest.raises(CapExceeded, match="ground_flat literal cap"):
+    with pytest.raises(CapExceeded, match="flat grounding literal cap"):
         FlatPlan(EXAMPLE_C).ground(5, node_cap=10)
 
 
@@ -478,7 +478,7 @@ def test_ground_flat_caps_atom_registration(monkeypatch):
             raise AssertionError("an atom was registered")
         m.setattr(AtomTable, "id_of", register)
         with pytest.raises(CapExceeded, match=(
-                f"ground_flat atom registration cap: needs {30 ** 4}, "
+                f"flat grounding atom registration cap: needs {30 ** 4}, "
                 "cap is 1000")):
             plan.ground(30, node_cap=1000)
     _, table = plan.ground(5, node_cap=1000)
@@ -626,6 +626,11 @@ def test_bsr_ground_equality_axioms():
             Or((Eq(Var("z"), Var("x")),))))), VOC_P1)
     cnf2, _ = bsr_ground(both)
     assert dpll_solve(cnf2) is not None
+    # x = x is trivially true, so its negation drops out of the clause
+    refl = to_pcnf(Exists("x", Or((Not(Eq(Var("x"), Var("x"))),
+                                   Atom("P", (Var("x"),))))), VOC_P1)
+    cnf_refl, table = bsr_ground(refl)
+    assert cnf_refl == [[table.lookup(("P", ("c_x",)))]]
     for unsat in (EQ_CONGRUENCE, EQ_TRANSITIVITY):
         cnf3, _ = bsr_ground(unsat)
         assert dpll_solve(cnf3) is None

@@ -82,6 +82,35 @@ def test_parse_errors_have_location(text, fragment):
     assert "line" in msg
 
 
+def _formula_over_p1(text):
+    return parse_formula_text(text, Vocabulary((("P", 1),)), ("x",))
+
+
+@pytest.mark.parametrize("parse,text,line,column,fragment", [
+    (parse_problem, "vocab P/1; forall x. P(x) $", 1, 27, "unexpected character"),
+    (parse_problem, "vocab P/x; P", 1, 9, "expected arity"),
+    (parse_problem, "vocab 1/2; P", 1, 7, "expected predicate name"),
+    (parse_problem, "vocab P/1; const 3; P", 1, 18, "expected constant name"),
+    (parse_problem, "vocab P/1; @init P(x)", 1, 22, "unterminated directive"),
+    (parse_problem, "vocab P/1; @3;", 1, 13, "expected directive name"),
+    (parse_problem, "vocab P/1; P(x) P(x)", 1, 17, "unexpected trailing input"),
+    (parse_problem, "vocab P/1; forall forall. P(x)", 1, 19, "expected variable name"),
+    (parse_problem, "vocab P/1; forall x. P(x) & )", 1, 29, "expected formula, got ')'"),
+    (parse_problem, "vocab P/1; forall x. P(forall)", 1, 24, "expected term"),
+    (parse_problem, "vocab P/1; P(P)", 1, 14, "predicate 'P' used as term"),
+    (parse_problem, "vocab P/1; const c; c", 1, 21, "constant 'c' used as formula"),
+    (parse_problem, "vocab P/2; P", 1, 12,
+     "arity mismatch: P expects 2 arguments, got 0"),
+    (_formula_over_p1, "P(y)", 1, 3, "unbound variable 'y'"),
+    (_formula_over_p1, "P(x) P(x)", 1, 6, "unexpected trailing input 'P'"),
+])
+def test_parse_error_positions(parse, text, line, column, fragment):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.column) == (line, column)
+    assert fragment in e.value.message
+
+
 def test_render_round_trip_example():
     src = ("vocab P/2, Q/1;\nconst c;\n"
            "exists x. forall y. ((P(x, y) | Q(c)) & !(y = c))")
@@ -89,6 +118,17 @@ def test_render_round_trip_example():
     again = parse_problem(render(p))
     assert again.vocabulary == p.vocabulary
     assert again.formula == p.formula
+
+
+def test_render_round_trip_directives():
+    src = ("vocab P/1, R/0; const c, d;\nR | P(x) | P(d)\n@free x;\n"
+           "@statevars x;\n@init P(x);\n@trans P(x_next);\n@prop P(x);\n")
+    p = parse_problem(src)
+    text = render(p)
+    assert text == ("vocab P/1, R/0; const c, d;\n(R | P(x) | P(d))\n@free x;\n"
+                    "@init P ( x );\n@prop P ( x );\n@statevars x;\n"
+                    "@trans P ( x_next );\n")
+    assert parse_problem(text) == p
 
 
 # -- random ASTs survive render -> parse -----------------------------------

@@ -1,12 +1,15 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from ebsedp.analysis import _all_structure_models
 from ebsedp.edp import classify, edp_bound
+from ebsedp.parse import parse_problem
 from ebsedp.repair import CoreWitness, colour_of, edp_core, edp_extend
 from ebsedp.structures import (FiniteStructure, evaluate,
                                generated_substructure, restrict_eq)
+from ebsedp.syntax import to_pcnf
 
 from corpus import (EXAMPLE_B, EXAMPLE_C, TOTAL_RELATION, VOC_P2, VOC_P2Q1)
 
@@ -116,3 +119,29 @@ def test_vacuous_core_small_universe():
     assert core.vacuous or len(core.elements) >= 1
     M2p = edp_extend(TOTAL_RELATION, (), M, core, (0,))
     assert evaluate(M2p, TOTAL_RELATION)
+
+
+def test_extend_cures_same_clause_conflict():
+    # P(w, z) and !P(w, w) share a clause; at z = w they copy opposite truth
+    # values onto one atom, which the cure fixes true
+    p = parse_problem("vocab P/2, Q/1; forall z. exists v. exists w. "
+                      "((!Q(v) | P(w, z) | !P(w, w)) & P(w, v) & "
+                      "(P(v, v) | !Q(v)))")
+    pf = to_pcnf(p.formula, p.vocabulary)
+    M = FiniteStructure(p.vocabulary, 3, {"P": frozenset({(1, 2)}),
+                                          "Q": frozenset()})
+    core = edp_core(pf, (), M, ())
+    assert core.elements == (0, 1)
+    M2p = edp_extend(pf, (), M, core, core.elements)
+    # curing to false would give {(0, 0), (1, 0)}, which models pf too
+    assert M2p.interpretation["P"] == {(0, 0), (1, 0), (1, 1)}
+    assert M2p.interpretation["Q"] == frozenset()
+
+
+def test_extend_rejects_bad_core_witness():
+    M = FiniteStructure(VOC_P2Q1, 3, {"P": frozenset({(0, 2)}),
+                                      "Q": frozenset({(0,), (1,), (2,)})})
+    core = edp_core(EXAMPLE_C, ("Q",), M, (0,))
+    bad = dataclasses.replace(core, witness=(1,))
+    with pytest.raises(ValueError, match="given witness"):
+        edp_extend(EXAMPLE_C, ("Q",), M, bad, core.elements)

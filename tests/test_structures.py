@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from ebsedp.structures import (FiniteStructure, SubsetWitness,
                                evaluate, generated_substructure, restrict_eq)
 from ebsedp.syntax import (Atom, Const, Eq, Exists, Forall, Not, Or, Var,
                            Vocabulary)
+
+from corpus import BSR, EDP_EMPTY
 
 VOC = Vocabulary((("P", 2), ("Q", 1)))
 VOC_C = Vocabulary((("P", 2),), ("c",))
@@ -35,6 +38,8 @@ def test_holds_and_json_round_trip():
     again = FiniteStructure.from_json(M_CYCLE.to_json(), VOC)
     assert again == M_CYCLE
     assert M_CYCLE.to_json() == M_CYCLE.to_json()  # deterministic
+    assert json.loads(M_CYCLE.to_json()) == M_CYCLE.to_json_dict() == {
+        "n": 3, "pred": {"P": [[0, 1], [1, 2], [2, 0]], "Q": [[0]]}, "const": {}}
 
 
 def test_evaluate_formula_and_prenex():
@@ -49,6 +54,14 @@ def test_evaluate_formula_and_prenex():
     from ebsedp.syntax import to_pcnf
     pf = to_pcnf(f, VOC)
     assert evaluate(M_CYCLE, pf)
+
+
+@pytest.mark.parametrize("pf", EDP_EMPTY + BSR)
+def test_prenex_evaluation_matches_formula_evaluation(pf):
+    f = pf.to_formula()
+    for n in (1, 2):
+        for M in enumerate_structures(pf.vocabulary, n):
+            assert evaluate(M, pf) == evaluate(M, f), M.to_json()
 
 
 def test_evaluate_constants():
