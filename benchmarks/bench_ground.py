@@ -3,12 +3,15 @@
 
 For each sentence φ of tests/corpus.py's EDP_EMPTY and its equispectral
 translation ψ = to_bsr_equispectral(φ, B), with B from edp_bound, grounds
-every size n ≤ --nmax.  Prints the clauses and literals of each grounding,
-the median time of a fresh FlatPlan(pf).ground(n) (compile and emit), and
-the median time of plan.ground on one compiled FlatPlan (emit only).  The
-two must return the same CNF; a mismatch exits 1.  Beside them it prints
-the clauses, literals and emit time of plan.ground(n, symmetric=True), the
-grounding with the domain symmetry broken that spectrum solves.
+every size n ≤ --nmax.  Prints, per sentence, the clauses and literals of
+its matrix beside those of its compiled plan (the minimal clause set, each
+plan literal a predicate atom or a selector guard); then the clauses and
+literals of each grounding, the median time of a fresh
+FlatPlan(pf).ground(n) (compile and emit), and the median time of
+plan.ground on one compiled FlatPlan (emit only).  The two must return the
+same CNF; a mismatch exits 1.  Beside them it prints the clauses, literals
+and emit time of plan.ground(n, symmetric=True), the grounding with the
+domain symmetry broken that spectrum solves.
 
 Then, for each φ and its equivalent translation ψ = to_bsr_equivalent(φ, B),
 grounds the conjunction φ ∧ ¬ψ that bounded_equiv solves, as one FlatPlan
@@ -58,6 +61,10 @@ def main(argv=None):
         psi = to_bsr_equispectral(phi, B).bsr
         for name, pf in ((f"phi[{i}]", phi), (f"psi[{i}] B={B}", psi)):
             plan = FlatPlan(pf)
+            print(f"{name}: matrix {len(pf.matrix)} clauses"
+                  f" {sum(map(len, pf.matrix))} literals, plan"
+                  f" {len(plan.clauses)} clauses"
+                  f" {sum(len(c[3]) for c in plan.clauses)} literals")
             for n in range(1, args.nmax + 1):
                 (cnf, _), t = median_ms(lambda: FlatPlan(pf).ground(n),
                                         args.repeat)

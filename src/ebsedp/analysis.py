@@ -15,8 +15,8 @@ from .edp import BoundReport
 from .errors import CapExceeded
 from .groundsat import (DEFAULT_NODE_CAP, AtomKey, AtomTable, FlatPlan,
                         GroundLiteral, dpll_solve, ground_fixed_universe,
-                        ground_over_domain, literal_triples, model_blocks,
-                        tseitin)
+                        ground_over_domain, literal_triples, minimal_clauses,
+                        model_blocks, tseitin)
 from .structures import FiniteStructure, count_structures, evaluate
 from .syntax import (EXISTS, FORALL, Atom, Const, Literal, PrenexForm, Term,
                      Var, Vocabulary, free_vars, substitute)
@@ -314,7 +314,8 @@ def _negation(pf: PrenexForm, other: PrenexForm) -> PrenexForm:
     """A sentence whose models are the models of ¬pf, each expanded by
     fresh predicates (one-sided definitions: Plaisted & Greenbaum 1986):
     under pf's dual prefix, the clause ∨ᵢ Dᵢ, with a fresh Dᵢ on the
-    variables of each matrix clause Cᵢ; and ¬Dᵢ ∨ ¬l for each literal l of
+    variables of each clause Cᵢ of pf's minimal clause set
+    (minimal_clauses); and ¬Dᵢ ∨ ¬l for each literal l of
     Cᵢ.  These definitions hold at every tuple, so they range over a
     universal copy of the variables placed after the prefix, where they
     select no Skolem table.  pf's variables are renamed apart from other's,
@@ -336,7 +337,7 @@ def _negation(pf: PrenexForm, other: PrenexForm) -> PrenexForm:
     fresh_preds: List[Tuple[str, int]] = []
     some: List[Literal] = []  # ∨ᵢ Dᵢ
     matrix = []
-    for i, clause in enumerate(pf.matrix):
+    for i, clause in enumerate(minimal_clauses(pf.matrix)):
         name = fresh(f"D{i}")
         xs = sorted(set().union(*[free_vars(lit.atom) for lit in clause]),
                     key=order.__getitem__)

@@ -11,8 +11,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator,
+                    List, Mapping, Optional, Sequence, Tuple)
 
 from . import _dpll_py
 from .errors import CapExceeded
@@ -26,11 +26,13 @@ AtomKey = Tuple[str, Tuple]  # (predicate or "=", argument tuple)
 
 
 class AtomTable:
-    """Bidirectional ground-atom <-> id registry; ids dense from 1."""
+    """Bidirectional ground-atom <-> id registry; ids dense from 1.  The
+    given keys, which must be distinct, take ids 1, 2, ... in order."""
 
-    def __init__(self):
-        self._by_key: Dict[AtomKey, int] = {}
-        self._by_id: List[AtomKey] = []
+    def __init__(self, keys: Iterable[AtomKey] = ()):
+        self._by_id: List[AtomKey] = list(keys)
+        self._by_key: Dict[AtomKey, int] = {
+            key: i for i, key in enumerate(self._by_id, start=1)}
 
     def id_of(self, key: AtomKey) -> int:
         got = self._by_key.get(key)
@@ -188,10 +190,34 @@ def ground_fixed_universe(pf: PrenexForm, n: int,
 # ---------------------------------------------------------------------------
 # Flat grounding (MACE-style: Claessen & Sörensson 2003; McCune 2003)
 
+def minimal_clauses(clauses: Iterable[Iterable[Hashable]]) -> List[Tuple]:
+    """The clauses, each with its repeated literals merged into the first
+    occurrence, less every clause that holds all the literals of another
+    (subsumption: Eén & Biere 2005); of equal clauses the first stays, and
+    the survivors keep their order.  An equivalent CNF."""
+    merged = [tuple(dict.fromkeys(c)) for c in clauses]
+    kept: Dict[Hashable, List[FrozenSet]] = {}  # by one of their literals
+    keep = []
+    # shorter first, so that a clause meets every clause it could hold
+    for i in sorted(range(len(merged)), key=lambda i: len(merged[i])):
+        s = frozenset(merged[i])
+        if not s:  # the empty clause holds in every other
+            return [()]
+        if not any(t <= s for lit in s for t in kept.get(lit, ())):
+            kept.setdefault(merged[i][0], []).append(s)
+            keep.append(i)
+    return [merged[i] for i in sorted(keep)]
+
+
 class FlatPlan:
     """The flat grounding of a conjunction of PCNF sentences that share
     predicates and constants, compiled once for every universe size;
     ground(n, node_cap) emits the CNF for size n, in one id space.
+
+    Each sentence's matrix is first compiled to its minimal clause set
+    (minimal_clauses): a repeated literal is merged and a clause that holds
+    all the literals of another is dropped, which leaves an equivalent
+    matrix; only what that set mentions gets a table or a plan.
 
     Symbols are numbered sentence by sentence: first its predicates not yet
     numbered, in vocabulary order; then its constants not yet numbered,
@@ -253,9 +279,9 @@ class FlatPlan:
         self.clauses: List[Tuple] = []
         for pf in sentences:
             # (sign, predicate name or None for "=", argument terms), a
-            # variable keyed by its name so that no dataclass is hashed
-            matrix = [[_plan_literal(lit) for lit in clause]
-                      for clause in pf.matrix]
+            # variable keyed by its name; the minimal clause set
+            matrix = minimal_clauses([_plan_literal(lit) for lit in clause]
+                                     for clause in pf.matrix)
             mentioned = {k for c in matrix for _, _, ks in c for k in ks}
             deps: Dict[object, Tuple[str, ...]] = {
                 Const(c): () for c in pf.vocabulary.constants}
@@ -425,20 +451,18 @@ class FlatPlan:
         if atoms > node_cap:
             raise CapExceeded("flat grounding atom registration cap", atoms,
                               node_cap)
-        table = AtomTable()
-        for key, arity in self.symbols:
-            for args in itertools.product(range(n), repeat=arity):
-                table.id_of((key, args))
-        return cnf, table
+        return cnf, AtomTable(
+            (key, args) for key, arity in self.symbols
+            for args in itertools.product(range(n), repeat=arity))
 
 
-def _plan_literal(lit: Literal) -> Tuple[int, Optional[str], List[object]]:
+def _plan_literal(lit: Literal) -> Tuple[int, Optional[str], Tuple]:
     atom = lit.atom
     if isinstance(atom, Eq):
         pred, args = None, (atom.left, atom.right)
     else:
         pred, args = atom.predicate, atom.args
-    keys = [t.name if isinstance(t, Var) else t for t in args]
+    keys = tuple([t.name if isinstance(t, Var) else t for t in args])
     return 1 if lit.positive else -1, pred, keys
 
 

@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 from .edp import classify, edp_check
 from .errors import RepairInternalError
 from .structures import (FiniteStructure, SubsetWitness, _eval_prenex,
-                         evaluate, generated_substructure)
+                         evaluate, generated_substructure, restrict_eq)
 from .syntax import FORALL, PrenexForm, Term, Var
 
 
@@ -93,6 +93,9 @@ def edp_extend(pf: PrenexForm, sigma: Iterable[str], M: FiniteStructure,
     returns M2' on mid's elements (relabeled) with M2' a model of pf and
     M2' agreeing with M's substructure on the σ-predicates."""
     sigma = tuple(sorted(set(sigma)))
+    for p in sigma:
+        if not pf.vocabulary.is_predicate(p):
+            raise ValueError(f"sigma mentions undeclared predicate {p!r}")
     if not isinstance(core, CoreWitness):
         raise ValueError("core must come from edp_core")
     if core.parent is not M and core.parent != M:
@@ -196,4 +199,7 @@ def edp_extend(pf: PrenexForm, sigma: Iterable[str], M: FiniteStructure,
     if not evaluate(M2p, pf):
         raise RepairInternalError("repaired structure fails the sentence "
                                   "(construction bug)")
+    if not restrict_eq(M2, M2p, sigma):
+        raise RepairInternalError("repaired structure changes a sigma "
+                                  "predicate of M's substructure")
     return M2p

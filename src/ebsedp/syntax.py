@@ -402,11 +402,17 @@ class PrenexForm:
         return True
 
     def matrix_formula(self) -> Formula:
+        """The matrix as a formula; an empty clause renders as ¬(t = t)
+        and an empty matrix as t = t, t the first prefix variable, else
+        the first constant (ValueError when there is neither)."""
+        terms = [Var(v) for _, v in self.prefix]
+        terms += [Const(c) for c in self.vocabulary.constants]
+        true = Eq(terms[0], terms[0]) if terms else None
         clauses = []
         for clause in self.matrix:
             lits = [lit.atom if lit.positive else Not(lit.atom) for lit in clause]
-            clauses.append(or_(*lits))
-        return and_(*clauses)
+            clauses.append(or_(*lits) if lits or not true else Not(true))
+        return and_(*clauses) if clauses or not true else true
 
     def to_formula(self) -> Formula:
         f = self.matrix_formula()

@@ -15,8 +15,8 @@ from ebsedp.groundsat import FlatPlan, dpll_solve
 from ebsedp.structures import (count_structures, enumerate_structures,
                                evaluate, generated_substructure, restrict_eq)
 from ebsedp.syntax import (EXISTS, FORALL, And, Atom, Const, Eq, Exists,
-                           Forall, Not, Or, PrenexForm, Var, Vocabulary,
-                           to_pcnf)
+                           Forall, Literal, Not, Or, PrenexForm, Var,
+                           Vocabulary, to_pcnf)
 from ebsedp.translate import to_bsr_equispectral
 
 from corpus import (ALL_EQUAL, CONTRADICTION, DAG, EDP_EMPTY, EQ_CONGRUENCE,
@@ -158,13 +158,72 @@ def test_spectrum_keeps_sizes_under_symmetry_breaking(pf):
 
 def test_symmetry_breaking_shrinks_psi_grounding():
     # ψ(EXAMPLE_A) opens with exists^4: at n=4 a matrix clause keeps only
-    # the instances whose leading existentials are in range
+    # the instances whose leading existentials are in range.  Its 81 matrix
+    # clauses compile to 3, so both groundings are small
     plan = FlatPlan(edp_psi(EDP_EMPTY[0]))
     sizes = {}
     for symmetric in (False, True):
         cnf, table = plan.ground(4, symmetric=symmetric)
         sizes[symmetric] = (len(cnf), sum(map(len, cnf)), len(table))
-    assert sizes == {False: (20_740, 255_760, 64), True: (2_164, 26_578, 64)}
+    assert sizes == {False: (1_156, 9_808, 64), True: (116, 946, 64)}
+
+
+VOC_P1R2 = Vocabulary((("P", 1), ("R", 2)))
+
+
+def redundant_pcnf(rng):
+    """A PCNF sentence over P/1 and R/2 with equality, built without
+    to_pcnf: its clauses repeat literals, and some are copies or supersets
+    of others, shuffled so that a superset may come first."""
+    names = ["x", "y", "z"][:rng.randint(1, 3)]
+    terms = [Var(v) for v in names]
+
+    def lit():  # no x = x, which would make its clause a tautology
+        kind = rng.random()
+        if kind < 0.2 and len(terms) > 1:
+            atom = Eq(*rng.sample(terms, 2))
+        elif kind < 0.55:
+            atom = Atom("P", (rng.choice(terms),))
+        else:
+            atom = Atom("R", (rng.choice(terms), rng.choice(terms)))
+        return Literal(rng.random() < 0.5, atom)
+
+    base = [[lit() for _ in range(rng.randint(1, 2))]
+            for _ in range(rng.randint(2, 4))]
+    clauses = []
+    for c in base:
+        clauses.append(c + rng.sample(c, 1))  # a repeated literal
+        clauses.append(c + [lit()])  # a superset
+        if rng.random() < 0.5:
+            clauses.append(list(c))
+    rng.shuffle(clauses)
+    prefix = tuple((rng.choice((FORALL, EXISTS)), v) for v in names)
+    return PrenexForm(VOC_P1R2, prefix, tuple(map(tuple, clauses)))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_redundant_clauses_match_brute_force(seed):
+    # FlatPlan grounds the minimal clause set; spectrum, bounded SAT and the
+    # plain grounding must still answer as enumeration of every structure
+    pf = redundant_pcnf(random.Random(seed))
+    truth = tuple(any(evaluate(M, pf) for M in enumerate_structures(VOC_P1R2, n))
+                  for n in (1, 2, 3))
+    assert spectrum(pf, 3).realizable == truth, pf
+    assert (decide_sat_bounded(pf, 3).verdict == SAT) == any(truth), pf
+    plan = FlatPlan(pf)
+    assert tuple(dpll_solve(plan.ground(n)[0]) is not None
+                 for n in (1, 2, 3)) == truth, pf
+    # mostly satisfiable, so also pin each small structure's atoms: the
+    # grounding must keep exactly the models, not only satisfiability
+    for n in (1, 2):
+        cnf, table = plan.ground(n)
+        for M in enumerate_structures(VOC_P1R2, n):
+            pins = [[table.lookup((p, args)) if M.holds(p, args)
+                     else -table.lookup((p, args))]
+                    for p, arity in VOC_P1R2.predicates
+                    for args in itertools.product(range(n), repeat=arity)]
+            assert (dpll_solve(cnf + pins) is not None) == evaluate(M, pf), \
+                (pf, M.to_json())
 
 
 def test_spectrum_validation():

@@ -7,7 +7,10 @@ import pytest
 from referencing import Registry, Resource
 
 from ebsedp import schemas
+from ebsedp.analysis import spectrum
 from ebsedp.cli import main
+from ebsedp.parse import parse_problem
+from ebsedp.syntax import to_pcnf
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -92,6 +95,20 @@ def test_translate(capsys):
     code, obj2, _ = run_json(capsys, "translate", fol("total_relation.fol"),
                              "--bound", "2", "--mode", "equispectral")
     assert obj2["stats"]["disjuncts"] == 2
+
+
+def test_translate_contradiction(capsys, tmp_path):
+    # no candidate for y: ψ is the empty disjunction, rendered as ¬(x = x)
+    src = tmp_path / "total.fol"
+    src.write_text("vocab P/2; forall x. exists y. P(x, y)\n")
+    code, obj, _ = run_json(capsys, "translate", str(src), "--mode",
+                            "equispectral", "--bound", "0")
+    assert code == 0
+    assert obj["stats"]["matrix_clauses"] == 1
+    back = parse_problem("vocab P/2; " + obj["formula"])
+    pf = to_pcnf(back.formula, back.vocabulary)
+    assert len(pf.matrix) == obj["stats"]["matrix_clauses"]
+    assert spectrum(pf, 3).sizes() == ()
 
 
 def test_sat_exit_codes(capsys):

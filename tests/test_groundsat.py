@@ -12,7 +12,8 @@ from ebsedp.errors import CapExceeded
 from ebsedp.groundsat import (AtomTable, FlatPlan, PAnd, PConst, PLit, PNot,
                               POr, all_models, bsr_ground, dpll_solve,
                               export_dimacs, ground_fixed_universe,
-                              model_blocks, p_and, p_or, tseitin)
+                              minimal_clauses, model_blocks, p_and, p_or,
+                              tseitin)
 from ebsedp.structures import (FiniteStructure, count_structures,
                                enumerate_structures, evaluate)
 from ebsedp.syntax import (EXISTS, FORALL, And, Atom, Const, Eq, Exists,
@@ -66,6 +67,27 @@ def test_atom_table():
     assert t.name_of(a) == "P(0,1)"
     assert len(t) == 2
     assert list(t.items()) == [(1, ("P", (0, 1))), (2, ("P", (1, 0)))]
+    # built from keys in one step, with the same ids
+    u = AtomTable([("P", (0, 1)), ("P", (1, 0))])
+    assert list(u.items()) == list(t.items())
+    assert u.lookup(("P", (1, 0))) == 2 and u.id_of(("Q", ())) == 3
+
+
+def test_minimal_clauses():
+    assert minimal_clauses([]) == []
+    # repeated literals merge into the first occurrence
+    assert minimal_clauses([("a", "b", "a")]) == [("a", "b")]
+    # the survivors keep their order; of equal clauses the first stays
+    assert minimal_clauses([("b", "a"), ("c",), ("a", "b", "b"), ("d", "e")]) \
+        == [("b", "a"), ("c",), ("d", "e")]
+    # a later subset removes an earlier superset, and a subset removes
+    # every superset of it
+    assert minimal_clauses([("a", "b", "c"), ("d", "c", "e"), ("c", "a"),
+                            ("e",)]) == [("c", "a"), ("e",)]
+    # clauses that only share literals both stay
+    assert minimal_clauses([("a", "b"), ("a", "c")]) == [("a", "b"), ("a", "c")]
+    # the empty clause holds in every clause
+    assert minimal_clauses([("a",), (), ("b",), ()]) == [()]
 
 
 def test_prop_smart_constructors():
@@ -474,9 +496,9 @@ def test_ground_flat_caps_atom_registration(monkeypatch):
     plan = FlatPlan(to_pcnf(Exists("x", Atom("P", (x, x, x, x))),
                             Vocabulary((("P", 4),))))
     with monkeypatch.context() as m:
-        def register(self, key):
+        def register(self, keys=()):
             raise AssertionError("an atom was registered")
-        m.setattr(AtomTable, "id_of", register)
+        m.setattr(AtomTable, "__init__", register)
         with pytest.raises(CapExceeded, match=(
                 f"flat grounding atom registration cap: needs {30 ** 4}, "
                 "cap is 1000")):

@@ -5,6 +5,7 @@ import pytest
 
 from ebsedp.analysis import _all_structure_models
 from ebsedp.edp import classify, edp_bound
+from ebsedp.errors import RepairInternalError
 from ebsedp.parse import parse_problem
 from ebsedp.repair import CoreWitness, colour_of, edp_core, edp_extend
 from ebsedp.structures import (FiniteStructure, evaluate,
@@ -136,6 +137,29 @@ def test_extend_cures_same_clause_conflict():
     # curing to false would give {(0, 0), (1, 0)}, which models pf too
     assert M2p.interpretation["P"] == {(0, 0), (1, 0), (1, 1)}
     assert M2p.interpretation["Q"] == frozenset()
+
+
+def test_extend_rejects_undeclared_sigma():
+    M = FiniteStructure(VOC_P2Q1, 3, {"P": frozenset({(0, 2)}),
+                                      "Q": frozenset({(0,), (1,), (2,)})})
+    core = edp_core(EXAMPLE_C, ("Q",), M, (0,))
+    with pytest.raises(ValueError, match="sigma mentions undeclared"):
+        edp_extend(EXAMPLE_C, ("Nope",), M, core, core.elements)
+
+
+def test_extend_checks_sigma_agreement():
+    # the cure above rewrites P on the core; with P in σ the result would
+    # disagree with M's substructure, where P is empty
+    p = parse_problem("vocab P/2, Q/1; forall z. exists v. exists w. "
+                      "((!Q(v) | P(w, z) | !P(w, w)) & P(w, v) & "
+                      "(P(v, v) | !Q(v)))")
+    pf = to_pcnf(p.formula, p.vocabulary)
+    M = FiniteStructure(p.vocabulary, 3, {"P": frozenset({(1, 2)}),
+                                          "Q": frozenset()})
+    core = edp_core(pf, (), M, ())
+    assert evaluate(edp_extend(pf, ("Q",), M, core, core.elements), pf)
+    with pytest.raises(RepairInternalError, match="sigma"):
+        edp_extend(pf, ("P",), M, core, core.elements)
 
 
 def test_extend_rejects_bad_core_witness():

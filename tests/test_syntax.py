@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from ebsedp.errors import CapExceeded
 from ebsedp.structures import FiniteStructure, enumerate_structures, evaluate
 from ebsedp.syntax import (And, Atom, Const, Eq, Exists, Forall, Iff, Implies,
-                           Literal, Not, Or, Var, Vocabulary, all_var_names,
+                           Literal, Not, Or, PrenexForm, Var, Vocabulary,
+                           all_var_names,
                            check_well_formed, free_vars, substitute, to_nnf,
                            to_pcnf)
 
@@ -72,6 +73,19 @@ def test_pcnf_cap():
         to_pcnf(Or(tuple(parts)), VOC,
                 free_variables=tuple(f"{c}{i}" for c in "ab" for i in range(20)),
                 clause_cap=1000)
+
+
+def test_matrix_formula_renders_empty_clauses():
+    forall_x = (("forall", "x"),)
+    assert PrenexForm(VOC, forall_x, ((),)).to_formula() == \
+        Forall("x", Not(Eq(x, x)))
+    assert PrenexForm(VOC, forall_x, ()).to_formula() == Forall("x", Eq(x, x))
+    c = Const("c")
+    with_c = Vocabulary(VOC.predicates, ("c",))
+    assert PrenexForm(with_c, (), ((), ())).matrix_formula() == \
+        And((Not(Eq(c, c)), Not(Eq(c, c))))
+    with pytest.raises(ValueError):  # no term to write t = t with
+        PrenexForm(VOC, (), ()).matrix_formula()
 
 
 def test_pcnf_standardize_apart():
